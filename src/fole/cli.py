@@ -210,7 +210,9 @@ def _db_fragment(db: Database, name: str, td_name: str, schema_name: str,
 def cmd_convert(ws: Workspace, direction: str, name: str, out_path: str,
                 out=sys.stdout) -> int:
     if direction == "snd-to-db":
-        struct_name, spec_name = name.split(":")
+        struct_name, colon, spec_name = name.partition(":")
+        if not colon:
+            raise UnresolvedReference("STRUCTURE:SPEC", name)
         m = ws.require("structure", struct_name).lax
         spec = ws.require("spec", spec_name)
         logic = SoundLogic(m, spec)
@@ -249,10 +251,14 @@ def cmd_convert(ws: Workspace, direction: str, name: str, out_path: str,
 
 def cmd_migrate(ws: Workspace, table_name: str, morphism_name: str,
                 direction: str, out_path: str, out=sys.stdout) -> int:
-    struct_name, predicate = table_name.split(".")
-    entry = ws.require("structure", struct_name)
-    table = entry.lax.table_of[predicate]
-    m, a2_name, a1_name = ws.type_domain_morphisms[morphism_name]
+    struct_name, dot, predicate = table_name.partition(".")
+    if not dot:
+        raise UnresolvedReference("STRUCTURE.PREDICATE", table_name)
+    tables = ws.require("structure", struct_name).lax.table_of
+    if predicate not in tables:
+        raise UnresolvedReference("predicate", predicate)
+    table = tables[predicate]
+    m, a2_name, a1_name = ws.require("typeDomainMorphism", morphism_name)
     a2 = ws.require("typeDomain", a2_name)
     a1 = ws.require("typeDomain", a1_name)
     migrated = table_flow_type_domain(direction, m, table, a2, a1)

@@ -9,8 +9,10 @@ function of its inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import InfomorphismViolation, SortMismatch, UnknownSort
 
@@ -159,6 +161,23 @@ class SignatureMorphism:
     def map(self) -> dict[str, str]:
         return dict(self.mapping)
 
+    @cached_property
+    def positions(self) -> tuple[int, ...]:
+        """The projection plan: the target position read by each source attr."""
+        tgt = self.target
+        return tuple(tgt.position(b) for _, b in self.mapping)
+
+    @cached_property
+    def project(self) -> Callable[[Row], Row]:
+        """Precompose one tuple over ``target`` into one over ``source``."""
+        pos = self.positions
+        if len(pos) == 1:
+            (p,) = pos
+            return lambda values: (values[p],)
+        if not pos:
+            return lambda values: ()
+        return itemgetter(*pos)
+
     def apply(self, attr: str) -> str:
         for a, b in self.mapping:
             if a == attr:
@@ -203,8 +222,7 @@ def enumerate_tuples(sig: Signature, td: TypeDomain) -> list[Row]:
 
 def tuple_along(h: SignatureMorphism, values: Row) -> Row:
     """Precompose a tuple over ``h.target`` into one over ``h.source``."""
-    tgt = h.target
-    return tuple(values[tgt.position(b)] for _, b in h.mapping)
+    return h.project(values)
 
 
 @dataclass(frozen=True)

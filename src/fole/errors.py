@@ -1,8 +1,7 @@
 """Exception hierarchy shared by every module.
 
-Validators raise the most specific subclass; callers that want a verdict
-instead of an exception use the ``is_*``/``verdict`` wrappers next to each
-validator.
+Validators raise the most specific subclass; every one derives from
+``FoleError``.
 """
 
 

@@ -305,19 +305,12 @@ def print_formula(phi: Formula) -> str:
     if isinstance(phi, Bottom):
         return f"bot@{phi.name}" if phi.name else f"bot@{phi.signature}"
     if isinstance(phi, Neg):
-        return f"~{_wrap(phi.body)}"
+        return f"~{print_formula(phi.body)}"
     if isinstance(phi, (Exists, Forall, Subst)):
         op = _FLOW[type(phi)]
-        return f"{op}[{phi.name}] {_wrap(phi.body)}"
+        return f"{op}[{phi.name}] {print_formula(phi.body)}"
     op = _BINARY[type(phi)]
     return f"({print_formula(phi.lhs)} {op} {print_formula(phi.rhs)})"
-
-
-def _wrap(phi: Formula) -> str:
-    text = print_formula(phi)
-    if isinstance(phi, (Meet, Join, Impl, Diff)):
-        return text  # binary printing already parenthesizes
-    return text
 
 
 # ----------------------------------------------------- sequents/constraints

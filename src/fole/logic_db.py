@@ -8,7 +8,7 @@ their tuple images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
 from .core import (

@@ -8,7 +8,7 @@ database schemas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import Signature, SignatureMorphism, check_signature_morphism

@@ -7,7 +7,7 @@ tables (keyed semantics); the two agree through ``table_image``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Optional
 
 from .core import (

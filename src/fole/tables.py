@@ -8,8 +8,11 @@ type domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping
+import itertools
+from collections import Counter
+from dataclasses import dataclass
+from math import prod
+from typing import Callable, Hashable, Iterable
 
 from .core import (
     Row,
@@ -22,7 +25,7 @@ from .core import (
     is_well_sorted,
     tuple_along,
 )
-from .errors import NaturalityViolation, SignatureMismatch
+from .errors import NaturalityViolation, SignatureMismatch, UnknownSort
 
 Key = Hashable
 
@@ -45,8 +48,19 @@ class Table:
         return self.rows[key]
 
     def validate(self, td: TypeDomain) -> None:
+        sig = self.signature
+        members = [frozenset(td.extents.get(s, ())) for s in sig.sorts]
+        arity = len(members)
         for k, t in self.rows.items():
-            if not is_well_sorted(t, self.signature, td):
+            try:
+                ok = len(t) == arity and all(
+                    map(frozenset.__contains__, members, t))
+            except TypeError:  # an unhashable value lies in no extent
+                ok = False
+            if not ok:
+                # A sort outside td has an empty member set; is_well_sorted
+                # reports it as UnknownSort if this row reaches that sort.
+                is_well_sorted(t, sig, td)
                 raise SignatureMismatch(
                     f"row {k!r} = {t!r} is not well-sorted over {self.signature}"
                 )
@@ -138,34 +152,75 @@ def fiber_boolean(op: str, sig: Signature, td: TypeDomain,
     return Relation(sig, (top - lhs.tuples) | rhs.tuples)
 
 
+def _target_tuples_over(h: SignatureMorphism,
+                        td: TypeDomain) -> Callable[[Row], Iterable[Row]]:
+    """Return the map sending a tuple ``s`` over ``h.source`` to the tuples
+    over ``h.target`` that project onto it, in tuple enumeration order.
+
+    Image positions are fixed by ``s``; the others range over their extents.
+    ``s`` has no such tuples when it disagrees where ``h`` merges two
+    attributes or when a fixed value lies outside its extent.
+    """
+    extents = [td.extent(x) for x in h.target.sorts]
+    fixed: dict[int, int] = {}  # target position -> first source index on it
+    merged: list[tuple[int, int]] = []  # source index pairs h sends together
+    for i, p in enumerate(h.positions):
+        if p in fixed:
+            merged.append((i, fixed[p]))
+        else:
+            fixed[p] = i
+    members = {p: frozenset(extents[p]) for p in fixed}
+    arity = len(h.source)
+
+    def over(s: Row) -> Iterable[Row]:
+        if len(s) != arity or any(s[i] != s[j] for i, j in merged):
+            return ()
+        choices = list(extents)
+        for p, i in fixed.items():
+            if s[i] not in members[p]:
+                return ()
+            choices[p] = (s[i],)
+        return itertools.product(*choices)
+
+    return over
+
+
 def fiber_flow(mode: str, h: SignatureMorphism, rel: Relation,
                td: TypeDomain) -> Relation:
     """Quantifier flow along a signature morphism.
 
     exists/forall take a relation over ``h.target`` and land in ``h.source``;
-    preimage goes the other way.
+    preimage goes the other way.  ``rel`` holds tuples of its fiber.
     """
     if mode == "exists":
         if rel.signature != h.target:
             raise SignatureMismatch("exists expects a relation over h.target")
-        return Relation.of(h.source, (tuple_along(h, t) for t in rel.tuples))
+        return Relation(h.source, frozenset(map(h.project, rel.tuples)))
     if mode == "preimage":
         if rel.signature != h.source:
             raise SignatureMismatch("preimage expects a relation over h.source")
-        return Relation.of(
+        over = _target_tuples_over(h, td)
+        return Relation(
             h.target,
-            (t for t in enumerate_tuples(h.target, td) if tuple_along(h, t) in rel),
+            frozenset(itertools.chain.from_iterable(map(over, rel.tuples))),
         )
     if mode == "forall":
         if rel.signature != h.target:
             raise SignatureMismatch("forall expects a relation over h.target")
-        fiber = enumerate_tuples(h.target, td)
-        return Relation.of(
+        # Division by counting: s holds iff every tuple over s is in rel,
+        # i.e. iff as many tuples of rel project onto s as lie over s.  That
+        # is the product of the free extents, or none when over(s) is ()
+        # because s disagrees where h merges attributes.
+        over = _target_tuples_over(h, td)
+        counts = Counter(map(h.project, rel.tuples))
+        image = set(h.positions)
+        free = prod(len(td.extent(x)) for p, x in enumerate(h.target.sorts)
+                    if p not in image)
+        return Relation(
             h.source,
-            (
-                t_src
-                for t_src in enumerate_tuples(h.source, td)
-                if all(t in rel for t in fiber if tuple_along(h, t) == t_src)
+            frozenset(
+                s for s in enumerate_tuples(h.source, td)
+                if counts[s] == (free if over(s) else 0)
             ),
         )
     raise ValueError(f"unknown flow mode {mode!r}")
@@ -175,7 +230,8 @@ def table_sigma(h: SignatureMorphism, table: Table) -> Table:
     """Projection: push a table over ``h.target`` down to ``h.source``."""
     if table.signature != h.target:
         raise SignatureMismatch("table_sigma expects a table over h.target")
-    return Table(h.source, {k: tuple_along(h, t) for k, t in table.rows.items()})
+    project = h.project
+    return Table(h.source, {k: project(t) for k, t in table.rows.items()})
 
 
 def table_substitution(h: SignatureMorphism, table: Table,
@@ -187,13 +243,10 @@ def table_substitution(h: SignatureMorphism, table: Table,
     """
     if table.signature != h.source:
         raise SignatureMismatch("table_substitution expects a table over h.source")
-    fiber = enumerate_tuples(h.target, td)
-    rows: dict[Key, Row] = {}
-    for k, t_src in table.rows.items():
-        for t in fiber:
-            if tuple_along(h, t) == t_src:
-                rows[(k, t)] = t
-    return Table(h.target, rows)
+    over = _target_tuples_over(h, td)
+    return Table(h.target, {
+        (k, t): t for k, t_src in table.rows.items() for t in over(t_src)
+    })
 
 
 def check_table_morphism(m: TableMorphism, src: Table, tgt: Table) -> None:
@@ -234,13 +287,25 @@ def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
     f, g = m.f, m.g
     if direction == "dextro":
         sig2 = table.signature
+        for x2 in sig2.sorts:
+            if x2 not in f:
+                raise UnknownSort(x2)
         out_sig = Signature(sig2.attrs, tuple(f[s] for s in sig2.sorts))
-        fiber = enumerate_tuples(out_sig, a1)
+        # inverse[x1][y2]: the values y1 of sort x1 with g(y1) = y2, in
+        # extent order, so each row's pullback is a product of these lists.
+        inverse: dict[str, dict[str, list[str]]] = \
+            {x1: {} for x1 in out_sig.sorts}
+        for x1, inv in inverse.items():
+            for y1 in a1.extent(x1):
+                inv.setdefault(g[y1], []).append(y1)
+        lookups = [inverse[x1] for x1 in out_sig.sorts]
         rows: dict[Key, Row] = {}
         for k2, t2 in table.rows.items():
-            for t1 in fiber:
-                if m.map_row(t1) == t2:
-                    rows[(k2, t1)] = t1
+            if len(t2) != len(lookups):
+                continue
+            preimages = [inv.get(y2, ()) for inv, y2 in zip(lookups, t2)]
+            for t1 in itertools.product(*preimages):
+                rows[(k2, t1)] = t1
         return Table(out_sig, rows)
     if direction == "levo":
         sig1 = table.signature

@@ -116,6 +116,7 @@ class Workspace:
             "typeDomain": self.type_domains,
             "schema": self.schemas,
             "sigMorphism": self.sig_morphisms,
+            "typeDomainMorphism": self.type_domain_morphisms,
             "structure": self.structures,
             "spec": self.specs,
             "database": self.databases,

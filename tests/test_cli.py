@@ -209,6 +209,30 @@ class TestMigrate:
         assert table.rows == {"k1": ("c", "e"), "k2": ("c", "e")}
 
 
+class TestMigrateConvertErrors:
+    """A bad argument to migrate or convert ends in exit 2 and one ERROR
+    line, and writes nothing."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["migrate", "-w", FIXTURE, "M.nope", "collapse", "dextro"],
+         "UnresolvedReference: unresolved predicate reference 'nope'"),
+        (["migrate", "-w", FIXTURE, "N.PairC", "nope", "dextro"],
+         "UnresolvedReference: unresolved typeDomainMorphism reference 'nope'"),
+        (["migrate", "-w", FIXTURE, "N", "collapse", "dextro"],
+         "UnresolvedReference: unresolved STRUCTURE.PREDICATE reference 'N'"),
+        (["migrate", "-w", FIXTURE, "M.Emp", "collapse", "dextro"],
+         "UnknownSort: unknown sort 'S'"),
+        (["convert", "-w", FIXTURE, "snd-to-db", "nocolon"],
+         "UnresolvedReference: unresolved STRUCTURE:SPEC reference 'nocolon'"),
+    ])
+    def test_exit_2_with_error_line(self, tmp_path, argv, line):
+        out = tmp_path / "out.json"
+        code, text = run(argv + ["--out", str(out)])
+        assert code == 2
+        assert text == f"ERROR {line}\n"
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
         commands = [

@@ -13,6 +13,7 @@ from fole import (
     TypeDomain,
     TypeDomainMorphism,
     check_table_morphism,
+    check_type_domain_morphism,
     enumerate_tuples,
     fiber_boolean,
     fiber_flow,
@@ -22,8 +23,9 @@ from fole import (
     table_image,
     table_sigma,
     table_substitution,
+    tuple_along,
 )
-from fole.errors import NaturalityViolation, SignatureMismatch
+from fole.errors import NaturalityViolation, SignatureMismatch, UnknownSort
 
 from generators import (
     rand_infomorphism,
@@ -65,6 +67,28 @@ class TestReflection:
             injective = len(set(t.rows.values())) == len(t.rows)
             assert key_equivalent(relation_include(table_image(t)), t) \
                 == injective
+
+
+class TestTableValidate:
+    def test_well_sorted_rows_pass(self):
+        Table(S2, {"k1": ("a", "b"), "k2": ("b", "b")}).validate(AB)
+
+    @pytest.mark.parametrize("rows, bad", [
+        ({"ok": ("a", "b"), "out": ("a", "c"), "later": ("c", "c")}, "out"),
+        ({"ok": ("a", "a"), "short": ("a",)}, "short"),
+        ({"list": ("a", ["b"])}, "list"),
+    ])
+    def test_first_ill_sorted_row_named(self, rows, bad):
+        with pytest.raises(SignatureMismatch, match=f"row '{bad}'"):
+            Table(S2, rows).validate(AB)
+
+    def test_sort_outside_the_domain(self):
+        sig = Signature.of([("0", "S"), ("1", "Z")])
+        Table(sig, {}).validate(AB)
+        with pytest.raises(SignatureMismatch, match="row 'k1'"):
+            Table(sig, {"k1": ("c", "z"), "k2": ("a", "z")}).validate(AB)
+        with pytest.raises(UnknownSort):
+            Table(sig, {"k1": ("a", "z")}).validate(AB)
 
 
 class TestFiberBoolean:
@@ -282,7 +306,7 @@ class TestTypeDomainFlow:
                     if tuple(m.g[v] for v in t1) == t2:
                         expected[(k2, t1)] = t1
             assert out.signature == pushed
-            assert out.rows == expected
+            assert list(out.rows.items()) == list(expected.items())
 
     def test_levo_against_brute_force_oracle(self):
         rng = random.Random(43)
@@ -300,3 +324,210 @@ class TestTypeDomainFlow:
                 assert out.rows[k] == tuple(
                     m.g[t1[sig1.position(i)]] for i, _ in pairs)
             assert out.keys() == t.keys()
+
+
+# ------------------------------------------- differential tests, wide scale
+#
+# The oracles below restate each flow from its definition, by scanning whole
+# fibers, and project with their own attribute lookup.  The domains are
+# above desk scale: 3 sorts of 8 values and signatures of up to 4 attributes.
+
+def wide_domain(rng, empty_sort=False):
+    sorts = ("P", "Q", "R")
+    extents = {x: tuple(f"{x.lower()}{j}" for j in range(8)) for x in sorts}
+    if empty_sort:
+        extents[rng.choice(sorts)] = ()
+    return TypeDomain(sorts, extents)
+
+
+def wide_signature(rng, td, length):
+    return Signature(tuple(f"t{i}" for i in range(length)),
+                     tuple(rng.choice(td.sorts) for _ in range(length)))
+
+
+def wide_morphism(rng, target, diagonal=False):
+    """A morphism into ``target``; with ``diagonal`` two source attributes
+    land on one target attribute."""
+    picks = [rng.randrange(len(target)) for _ in range(rng.randint(0, 3))] \
+        if len(target) else []
+    if diagonal and len(target):
+        p = rng.randrange(len(target))
+        picks[rng.randint(0, len(picks)):0] = [p, p]
+    source = Signature(tuple(f"s{i}" for i in range(len(picks))),
+                       tuple(target.sorts[p] for p in picks))
+    return SignatureMorphism.of(
+        source, target, {a: target.attrs[p] for a, p in zip(source.attrs, picks)})
+
+
+def oracle_along(h, t):
+    return tuple(t[h.target.attrs.index(b)] for _, b in h.mapping)
+
+
+def oracle_preimage(h, rel, td):
+    return {t for t in enumerate_tuples(h.target, td)
+            if oracle_along(h, t) in rel.tuples}
+
+
+def oracle_forall(h, rel, td):
+    holds = {s: True for s in enumerate_tuples(h.source, td)}
+    for t in enumerate_tuples(h.target, td):
+        if t not in rel.tuples:
+            holds[oracle_along(h, t)] = False
+    return {s for s, ok in holds.items() if ok}
+
+
+def oracle_substitution(h, table, td):
+    rows = {}
+    for k, t_src in table.rows.items():
+        for t in enumerate_tuples(h.target, td):
+            if oracle_along(h, t) == t_src:
+                rows[(k, t)] = t
+    return rows
+
+
+def sparse_relation(rng, sig, td, density):
+    fiber = enumerate_tuples(sig, td)
+    return Relation.of(sig, (t for t in fiber if rng.random() < density))
+
+
+def dense_relation(rng, h, td):
+    """A relation over ``h.target`` holding whole fibers over some source
+    tuples, and all but one tuple over others, so forall has work to do."""
+    groups = {}
+    for t in enumerate_tuples(h.target, td):
+        groups.setdefault(oracle_along(h, t), []).append(t)
+    tuples = []
+    for group in groups.values():
+        pick = rng.random()
+        if pick < 0.4:
+            tuples += group
+        elif pick < 0.7:
+            tuples += group[1:]
+        elif pick < 0.85:
+            tuples += [t for t in group if rng.random() < 0.5]
+    return Relation.of(h.target, tuples)
+
+
+def wide_cases(seed, count):
+    """(td, h) pairs covering diagonal morphisms, empty extents, identities
+    and length-0 sources."""
+    rng = random.Random(seed)
+    for i in range(count):
+        td = wide_domain(rng, empty_sort=(i % 5 == 4))
+        target = wide_signature(rng, td, rng.randint(0, 4))
+        kind = i % 4
+        if kind == 0:
+            h = SignatureMorphism.identity(target)
+        elif kind == 1:
+            h = SignatureMorphism.of(Signature((), ()), target, {})
+        else:
+            h = wide_morphism(rng, target, diagonal=(kind == 3))
+        yield rng, td, h
+
+
+class TestWideDifferential:
+    def test_cases_cover_the_edge_shapes(self):
+        cases = list(wide_cases(101, 40))
+        assert any(len(set(h.positions)) < len(h.positions) for _, _, h in cases)
+        assert any(len(h.source) == 0 for _, _, h in cases)
+        assert any(h == SignatureMorphism.identity(h.target) and len(h.target) == 4
+                   for _, _, h in cases)
+        assert any(not all(td.extents.values()) for _, td, _ in cases)
+        assert max(len(h.target) for _, _, h in cases) == 4
+
+    def test_projection_plan_matches_attribute_lookup(self):
+        for rng, td, h in wide_cases(103, 40):
+            for t in sparse_relation(rng, h.target, td, 0.05).tuples:
+                assert tuple_along(h, t) == oracle_along(h, t)
+
+    def test_forall_against_oracle(self):
+        for rng, td, h in wide_cases(107, 40):
+            for rel in (dense_relation(rng, h, td),
+                        Relation.of(h.target, []),
+                        sparse_relation(rng, h.target, td, 0.9)):
+                out = fiber_flow("forall", h, rel, td)
+                assert out.signature == h.source
+                assert out.tuples == oracle_forall(h, rel, td)
+
+    def test_preimage_against_oracle(self):
+        for rng, td, h in wide_cases(109, 40):
+            for rel in (sparse_relation(rng, h.source, td, 0.3),
+                        Relation.of(h.source, [])):
+                out = fiber_flow("preimage", h, rel, td)
+                assert out.signature == h.target
+                assert out.tuples == oracle_preimage(h, rel, td)
+
+    def test_substitution_against_oracle_in_order(self):
+        for rng, td, h in wide_cases(113, 40):
+            table = rand_table(rng, h.source, td, max_keys=5)
+            out = table_substitution(h, table, td)
+            assert out.signature == h.target
+            assert list(out.rows.items()) == \
+                list(oracle_substitution(h, table, td).items())
+
+    def test_substitution_of_ill_sorted_and_diagonal_rows(self):
+        td = wide_domain(random.Random(0))
+        target = Signature(("t0", "t1"), ("P", "Q"))
+        h = SignatureMorphism.of(Signature(("s0", "s1"), ("P", "P")), target,
+                                 {"s0": "t0", "s1": "t0"})
+        table = Table(h.source, {"agree": ("p1", "p1"), "differ": ("p1", "p2"),
+                                 "outside": ("x", "x"), "short": ("p1",)})
+        out = table_substitution(h, table, td)
+        assert list(out.rows) == [("agree", ("p1", q)) for q in td.extent("Q")]
+        assert list(out.rows.items()) == \
+            list(oracle_substitution(h, table, td).items())
+
+
+def wide_infomorphism(rng):
+    """(m, a2, a1): a1 has 3 disjoint sorts of 8 values (one sometimes
+    empty); g sends each a1 sort onto blocks of a2 values, and each a2 sort
+    also holds values outside g's image."""
+    a1 = wide_domain(rng, empty_sort=rng.random() < 0.25)
+    f, extents2, g = {}, {}, {}
+    for x1 in a1.sorts:
+        blocks = [f"{x1}B{j}" for j in range(rng.randint(1, 4))]
+        for y1 in a1.extent(x1):
+            g[y1] = rng.choice(blocks)
+        for n in range(rng.randint(1, 2)):
+            x2 = f"{x1}{n}"
+            f[x2] = x1
+            extents2[x2] = tuple(blocks) + tuple(
+                f"{x2}z{j}" for j in range(rng.randint(0, 2)))
+    a2 = TypeDomain(tuple(f), extents2)
+    m = TypeDomainMorphism.of(f, g)
+    check_type_domain_morphism(m, a2, a1)
+    return m, a2, a1
+
+
+class TestWideDextro:
+    def test_dextro_against_oracle_in_order(self):
+        rng = random.Random(127)
+        for _ in range(40):
+            m, a2, a1 = wide_infomorphism(rng)
+            sig2 = wide_signature(rng, a2, rng.randint(0, 4))
+            rows = {f"k{i}": tuple(rng.choice(a2.extent(x) or ("none",))
+                                   for x in sig2.sorts)
+                    for i in range(rng.randint(0, 5))}
+            t = Table(sig2, rows)
+            out = table_flow_type_domain("dextro", m, t, a2, a1)
+            pushed = Signature(sig2.attrs, tuple(m.f[s] for s in sig2.sorts))
+            expected = {}
+            for k2, t2 in t.rows.items():
+                for t1 in enumerate_tuples(pushed, a1):
+                    if tuple(m.g[v] for v in t1) == t2:
+                        expected[(k2, t1)] = t1
+            assert out.signature == pushed
+            assert list(out.rows.items()) == list(expected.items())
+
+    def test_dextro_of_empty_short_and_unmapped_rows(self):
+        m, a2, a1 = wide_infomorphism(random.Random(131))
+        x2 = a2.sorts[0]
+        sig2 = Signature(("0", "1"), (x2, x2))
+        out = table_flow_type_domain("dextro", m, Table(sig2, {}), a2, a1)
+        assert out.rows == {}
+        block = a2.extent(x2)[0]
+        pre = [y1 for y1 in a1.extent(m.f[x2]) if m.g[y1] == block]
+        t = Table(sig2, {"short": (block,), "unmapped": (block, "nowhere"),
+                         "good": (block, block)})
+        out = table_flow_type_domain("dextro", m, t, a2, a1)
+        assert list(out.rows) == [("good", (y, z)) for y in pre for z in pre]
