@@ -15,6 +15,7 @@ from .core import (
     check_type_domain_morphism,
     classify,
     enumerate_tuples,
+    pushed_signature,
     tuple_along,
 )
 from .formula import (
@@ -77,7 +78,6 @@ from .structure import (
     intent_contains,
     satisfies_constraint,
     satisfies_sequent,
-    pushed_signature,
     strict_morphism_to_lax,
     to_lax,
     tuple_satisfies,

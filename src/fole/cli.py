@@ -326,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=sys.stdout) -> int:
     args = build_parser().parse_args(argv)
-    ws = load_workspace(args.workspace)
     try:
+        ws = load_workspace(args.workspace)
         if args.command == "eval":
             if ws.diagnostics:
                 _print_diagnostics(ws, out)
@@ -345,7 +345,7 @@ def main(argv=None, out=sys.stdout) -> int:
         if args.command == "migrate":
             return cmd_migrate(ws, args.table, args.morphism, args.direction,
                                args.out, out=out)
-    except FoleError as exc:
+    except (FoleError, OSError, json.JSONDecodeError) as exc:
         _emit(out, f"ERROR {type(exc).__name__}: {exc}")
         return 2
     raise SystemExit("unreachable")

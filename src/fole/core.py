@@ -195,6 +195,11 @@ class SignatureMorphism:
         )
 
 
+def pushed_signature(sig: Signature, sort_map: Mapping[str, str]) -> Signature:
+    """Apply the sort map to every attribute sort (same attribute names)."""
+    return Signature(sig.attrs, tuple(sort_map[s] for s in sig.sorts))
+
+
 def check_signature_morphism(h: SignatureMorphism) -> None:
     """Raise SortMismatch at the first index where sort preservation fails."""
     tgt = h.target

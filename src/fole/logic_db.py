@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
 from .core import (
-    Row,
     Signature,
     SignatureMorphism,
     TypeDomain,
@@ -22,14 +21,13 @@ from .core import (
 from .errors import (
     FunctorialityViolation,
     InternalSatisfactionFailure,
-    KeyBridgeViolation,
     NaturalitySquareViolation,
     SignatureMismatch,
 )
 from .specs import (
     AbstractSpec,
     SpecMorphism,
-    abstract_table_passage,
+    _compose_arrows,
     satisfies_spec,
     validate_spec_morphism,
 )
@@ -42,7 +40,6 @@ from .tables import (
     Table,
     TableMorphism,
     check_table_morphism,
-    key_equivalent,
     relation_include,
     table_image,
 )
@@ -75,12 +72,15 @@ class SoundLogic:
 @dataclass
 class Database:
     """A table per predicate and a table morphism per constraint, all over
-    one type domain."""
+    one type domain, validated at construction."""
 
     schema: AbstractSpec
     type_domain: TypeDomain
     table_of: dict[str, Table]
     constraint_morphism: dict[str, TableMorphism]
+
+    def __post_init__(self):
+        validate_database(self)
 
 
 class DatabaseProjection(NamedTuple):
@@ -110,7 +110,8 @@ def validate_database(db: Database) -> None:
         check_table_morphism(tm, db.table_of[c.source_predicate],
                              db.table_of[c.target_predicate])
     for decl in db.schema.composites:
-        composed = _compose_key_maps([db.constraint_morphism[p] for p in decl.path])
+        composed = _compose_arrows(
+            [db.constraint_morphism[p] for p in decl.path]).key_map
         declared = db.constraint_morphism[decl.equals]
         src_table = db.table_of[db.schema.constraints[decl.equals].source_predicate]
         for k, v in declared.key_map.items():
@@ -119,14 +120,6 @@ def validate_database(db: Database) -> None:
                 raise FunctorialityViolation(
                     "&".join(decl.path), f"composite disagrees at key {k!r}"
                 )
-
-
-def _compose_key_maps(path: list[TableMorphism]) -> dict:
-    last = path[-1]
-    key_map = dict(last.key_map)
-    for arrow in reversed(path[:-1]):
-        key_map = {k: arrow.key_map[v] for k, v in key_map.items()}
-    return key_map
 
 
 def db_project(db: Database) -> DatabaseProjection:
@@ -141,47 +134,41 @@ def db_project(db: Database) -> DatabaseProjection:
     )
 
 
+def _tuple_keyed(spec: AbstractSpec, td: TypeDomain,
+                 table_of: dict[str, Table]) -> Database:
+    """The database whose tables are the tuple images of ``table_of``, keyed
+    by their own tuples, and whose key maps precompose along each
+    constraint's signature morphism.  This is the interpretation functor of
+    a satisfied specification, so both passages into databases build it."""
+    tables = {r: relation_include(table_image(table_of[r]))
+              for r in spec.schema.predicates}
+    arrows = {}
+    for name, c in spec.constraints.items():
+        h = c.morphism
+        arrows[name] = TableMorphism(
+            h, {t: tuple_along(h, t) for t in tables[c.target_predicate].rows})
+    return Database(spec, td, tables, arrows)
+
+
 def snd_to_db(logic: SoundLogic) -> Database:
     """Interpret the specification in the structure; tables are tuple-keyed
     relation images and arrows come from the interpretation functor."""
-    passage = abstract_table_passage(logic.structure, logic.spec)
-    tables = {r: relation_include(rel) for r, rel in passage.objects.items()}
-    db = Database(
-        schema=logic.spec,
-        type_domain=logic.structure.type_domain,
-        table_of=tables,
-        constraint_morphism=dict(passage.arrows),
-    )
-    validate_database(db)
-    return db
+    return _tuple_keyed(logic.spec, logic.structure.type_domain,
+                        logic.structure.table_of)
 
 
 def db_to_snd(db: Database) -> SoundLogic:
     """Keep the tables as the structure (constraint-free aspect); the schema
-    becomes the specification.  Satisfaction is re-verified."""
-    validate_database(db)
-    structure = LaxStructure(db.schema.schema, db.type_domain, dict(db.table_of))
-    report = satisfies_spec(structure, db.schema)
-    if not report.satisfied:
-        raise InternalSatisfactionFailure(
-            "validated database fails satisfaction; data is corrupted"
-        )
-    return SoundLogic(structure, db.schema)
+    becomes the specification, whose satisfaction the logic re-verifies."""
+    return SoundLogic(
+        LaxStructure(db.schema.schema, db.type_domain, dict(db.table_of)),
+        db.schema)
 
 
 def db_image(db: Database) -> Database:
     """Collapse every table to its tuple image and transport the key maps to
     the canonical tuple-precomposition maps."""
-    validate_database(db)
-    tables = {r: relation_include(table_image(t)) for r, t in db.table_of.items()}
-    arrows = {}
-    for name, c in db.schema.constraints.items():
-        h = c.morphism
-        target_tuples = tables[c.target_predicate].rows
-        arrows[name] = TableMorphism(h, {t: tuple_along(h, t) for t in target_tuples})
-    out = Database(db.schema, db.type_domain, tables, arrows)
-    validate_database(out)
-    return out
+    return _tuple_keyed(db.schema, db.type_domain, db.table_of)
 
 
 # ----------------------------------------------------------------- morphisms
@@ -252,7 +239,6 @@ def snd_mor_to_db_mor(lm: SoundLogicMorphism,
     Tables of ``snd_to_db`` are tuple-keyed, so the key bridge is transported
     to the forced tuple form (precompose along the bridge, then push values)."""
     validate_lax_morphism(lm.structure_morphism, l2.structure, l1.structure)
-    validate_spec_morphism(lm.spec_morphism, l2.spec, l1.spec)
     g_push = lm.structure_morphism.td_morphism.map_row
     key_bridge = {}
     for r2 in l2.spec.schema.predicates:

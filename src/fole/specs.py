@@ -11,14 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Signature, SignatureMorphism, check_signature_morphism
+from .core import SignatureMorphism, check_signature_morphism, pushed_signature
 from .errors import NaturalityViolation, SignatureMismatch, Unsatisfied
 from .formula import Atom, Constraint, Schema
 from .structure import (
     ConstraintVerdict,
     LaxStructure,
-    LaxStructureMorphism,
-    pushed_signature,
     satisfies_constraint,
 )
 from .tables import Relation, TableMorphism
@@ -206,11 +204,10 @@ class SpecMorphism:
 def validate_spec_morphism(sm: SpecMorphism,
                            t2: AbstractSpec, t1: AbstractSpec) -> None:
     """Check bridge typing and the naturality square on every generator."""
-    f = sm.sort_map
     for r2, sig2 in t2.schema.predicates.items():
         r1 = sm.predicate_map[r2]
         bridge = sm.bridge[r2]
-        pushed = Signature(sig2.attrs, tuple(f[s] for s in sig2.sorts))
+        pushed = pushed_signature(sig2, sm.sort_map)
         if bridge.source != pushed:
             raise SignatureMismatch(
                 f"bridge at {r2!r} has source {bridge.source}, expected {pushed}"

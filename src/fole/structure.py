@@ -12,7 +12,6 @@ from typing import Hashable, Optional
 
 from .core import (
     Row,
-    Signature,
     SignatureMorphism,
     TypeDomain,
     TypeDomainMorphism,
@@ -20,6 +19,7 @@ from .core import (
     check_type_domain_morphism,
     enumerate_tuples,
     is_well_sorted,
+    pushed_signature,
     tuple_along,
 )
 from .errors import (
@@ -235,21 +235,19 @@ class ConstraintVerdict:
 
 
 def satisfies_constraint(m: LaxStructure, c: Constraint) -> ConstraintVerdict:
-    """Decide a constraint via both adjoint forms, which must agree.
+    """Decide a constraint by its direct form: the target projects into the
+    source.  (The adjoint form, target within the preimage of the source, is
+    equivalent; tests check that the two agree.)
 
     On success the witness is the table morphism between the tuple-keyed
     interpretations, with the canonical key choice (precomposition along the
     constraint's signature morphism)."""
     c.check(m.schema)
     h = c.morphism
-    td = m.type_domain
     r_target = interpret_relation(m, c.target)   # over h.target
     r_source = interpret_relation(m, c.source)   # over h.source
-    projected = fiber_flow("exists", h, r_target, td)
-    direct = projected.tuples <= r_source.tuples
-    adjoint = r_target.tuples <= fiber_flow("preimage", h, r_source, td).tuples
-    assert direct == adjoint, "the two adjoint satisfaction forms disagree"
-    if not direct:
+    projected = fiber_flow("exists", h, r_target, m.type_domain)
+    if not projected.tuples <= r_source.tuples:
         bad = min(t for t in r_target.tuples
                   if tuple_along(h, t) not in r_source.tuples)
         return ConstraintVerdict(c.name, False, violating_tuple=bad)
@@ -295,12 +293,6 @@ class LaxStructureMorphism:
         )
 
 
-def pushed_signature(sig: Signature, m: TypeDomainMorphism) -> Signature:
-    """Apply the sort map to every attribute sort (same attribute names)."""
-    f = m.f
-    return Signature(sig.attrs, tuple(f[s] for s in sig.sorts))
-
-
 def validate_lax_morphism(lm: LaxStructureMorphism,
                           m2: LaxStructure, m1: LaxStructure) -> None:
     """Check the key condition at every predicate and source key."""
@@ -308,7 +300,7 @@ def validate_lax_morphism(lm: LaxStructureMorphism,
     for r2, sig2 in m2.schema.predicates.items():
         r1 = lm.predicate_map[r2]
         bridge = lm.schema_bridge[r2]
-        if bridge.source != pushed_signature(sig2, lm.td_morphism):
+        if bridge.source != pushed_signature(sig2, lm.td_morphism.f):
             raise SignatureMismatch(
                 f"bridge at {r2!r} has source {bridge.source}, expected the "
                 f"pushed signature of {sig2}"

@@ -23,6 +23,7 @@ from .core import (
     check_type_domain_morphism,
     enumerate_tuples,
     is_well_sorted,
+    pushed_signature,
     tuple_along,
 )
 from .errors import NaturalityViolation, SignatureMismatch, UnknownSort
@@ -290,7 +291,7 @@ def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
         for x2 in sig2.sorts:
             if x2 not in f:
                 raise UnknownSort(x2)
-        out_sig = Signature(sig2.attrs, tuple(f[s] for s in sig2.sorts))
+        out_sig = pushed_signature(sig2, f)
         # inverse[x1][y2]: the values y1 of sort x1 with g(y1) = y2, in
         # extent order, so each row's pullback is a product of these lists.
         inverse: dict[str, dict[str, list[str]]] = \
@@ -309,6 +310,9 @@ def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
         return Table(out_sig, rows)
     if direction == "levo":
         sig1 = table.signature
+        for s1 in sig1.sorts:
+            if s1 not in a1.sorts:
+                raise UnknownSort(s1)
         attrs: list[str] = []
         sorts: list[str] = []
         picks: list[int] = []  # source position feeding each output attribute

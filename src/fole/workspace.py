@@ -20,13 +20,13 @@ from .core import (
     TypeDomainMorphism,
     check_signature_morphism,
     check_type_domain_morphism,
+    pushed_signature,
 )
 from .errors import FoleError, UnresolvedReference
 from .formula import Schema
 from .logic_db import (
     Database,
     DatabaseMorphism,
-    validate_database,
     validate_db_morphism,
 )
 from .specs import (
@@ -41,7 +41,6 @@ from .structure import (
     LaxStructureMorphism,
     StrictStructure,
     StrictStructureMorphism,
-    pushed_signature,
     strict_morphism_to_lax,
     to_lax,
     validate_lax_morphism,
@@ -233,9 +232,7 @@ def load_workspace_data(raw: dict) -> Workspace:
                 morphisms[pname] = TableMorphism(
                     spec.constraints[pname].morphism, dict(kmap)
                 )
-            db = Database(spec, td, tables, morphisms)
-            validate_database(db)
-            ws.databases[name] = db
+            ws.databases[name] = Database(spec, td, tables, morphisms)
         attempt("databases", name, build_db)
 
     for name, data in raw.get("specMorphisms", {}).items():
@@ -300,7 +297,7 @@ def _bridges(data, predicate_map, schema2: Schema, schema1: Schema,
              td_mor: TypeDomainMorphism) -> dict[str, SignatureMorphism]:
     out = {}
     for r2, mapping in data.items():
-        pushed = pushed_signature(schema2.signature_of(r2), td_mor)
+        pushed = pushed_signature(schema2.signature_of(r2), td_mor.f)
         target = schema1.signature_of(predicate_map[r2])
         out[r2] = SignatureMorphism.of(pushed, target, mapping)
     return out
@@ -310,8 +307,7 @@ def _spec_morphism(data, t2: AbstractSpec, t1: AbstractSpec) -> SpecMorphism:
     f = dict(data["sortMap"])
     bridge = {}
     for r2, mapping in data["bridges"].items():
-        sig2 = t2.schema.signature_of(r2)
-        pushed = Signature(sig2.attrs, tuple(f[s] for s in sig2.sorts))
+        pushed = pushed_signature(t2.schema.signature_of(r2), f)
         target = t1.schema.signature_of(data["predicateMap"][r2])
         bridge[r2] = SignatureMorphism.of(pushed, target, mapping)
     return SpecMorphism(

@@ -42,9 +42,9 @@ from fole import (
     TypeDomain,
     TypeDomainMorphism,
     enumerate_tuples,
+    pushed_signature,
     tuple_along,
 )
-from fole.structure import pushed_signature
 
 _FRESH = itertools.count()
 
@@ -322,7 +322,7 @@ def rand_lax_morphism_setup(rng: random.Random):
         sorts2 = tuple(rng.choice(preimages[sig1.sorts[p]]) for p in picks)
         sig2 = Signature(attrs2, sorts2)
         bridge = SignatureMorphism.of(
-            pushed_signature(sig2, m), sig1,
+            pushed_signature(sig2, m.f), sig1,
             {a: sig1.attrs[p] for a, p in zip(attrs2, picks)},
         )
         rows2 = {}
@@ -370,7 +370,7 @@ def rand_strict_morphism_setup(rng: random.Random):
         predicates2[r2] = sig2
         predicate_map[r2] = r1
         schema_bridge[r2] = SignatureMorphism.of(
-            pushed_signature(sig2, m), sig1, {a: a for a in sig1.attrs})
+            pushed_signature(sig2, m.f), sig1, {a: a for a in sig1.attrs})
     schema2 = Schema(sorts=a2.sorts, predicates=predicates2)
     key_map = {k1: f"n{tag}_{k1}" for k1 in m1.keys}
     classifies2 = set()
@@ -420,7 +420,7 @@ def rand_logic_morphism_setup(rng: random.Random):
         predicates2[r2] = sig2
         predicate_map[r2] = r1
         bridge[r2] = SignatureMorphism.of(
-            pushed_signature(sig2, m), sig1, {a: a for a in sig1.attrs})
+            pushed_signature(sig2, m.f), sig1, {a: a for a in sig1.attrs})
         rows2 = {}
         kappa = {}
         for k1, t1 in struct1.table_of[r1].rows.items():

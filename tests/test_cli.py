@@ -224,6 +224,8 @@ class TestMigrateConvertErrors:
          "UnknownSort: unknown sort 'S'"),
         (["convert", "-w", FIXTURE, "snd-to-db", "nocolon"],
          "UnresolvedReference: unresolved STRUCTURE:SPEC reference 'nocolon'"),
+        (["migrate", "-w", FIXTURE, "N.PairC", "idA", "levo"],
+         "UnknownSort: unknown sort 'C'"),
     ])
     def test_exit_2_with_error_line(self, tmp_path, argv, line):
         out = tmp_path / "out.json"
@@ -231,6 +233,26 @@ class TestMigrateConvertErrors:
         assert code == 2
         assert text == f"ERROR {line}\n"
         assert not out.exists()
+
+
+class TestWorkspaceLoadErrors:
+    """A workspace file that cannot be read or parsed ends in exit 2 and one
+    ERROR line."""
+
+    def test_missing_file(self, tmp_path):
+        code, text = run(["check", "-w", str(tmp_path / "absent.json"),
+                          "structure", "M"])
+        assert code == 2
+        assert text.startswith("ERROR FileNotFoundError: ")
+        assert text.count("\n") == 1
+
+    def test_malformed_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        code, text = run(["eval", "-w", str(path), "-s", "M", "Emp"])
+        assert code == 2
+        assert text.startswith("ERROR JSONDecodeError: ")
+        assert text.count("\n") == 1
 
 
 class TestDeterminism:

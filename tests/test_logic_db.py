@@ -92,6 +92,13 @@ class TestValidateDatabase:
         }, {})
         validate_database(db)
 
+    def test_construction_rejects_broken_key_map(self):
+        tables = fixture_database().table_of
+        with pytest.raises(NaturalityViolation):
+            Database(FK, TD, tables, {
+                "empDept": TableMorphism(H, {"k1": "d2", "k2": "d1"}),
+            })
+
     def test_broken_key_map_rejected(self):
         db = fixture_database()
         db.constraint_morphism["empDept"] = TableMorphism(
@@ -155,6 +162,13 @@ class TestConversions:
             img = db_image(db)
             for r in db.table_of:
                 assert key_equivalent(back.table_of[r], img.table_of[r])
+
+    def test_round_trip_equals_image_exactly(self):
+        rng = random.Random(109)
+        for _ in range(60):
+            td = rand_type_domain(rng)
+            db = rand_database(rng, td)
+            assert snd_to_db(db_to_snd(db)) == db_image(db)
 
     def test_reflection_law_logic_side(self):
         rng = random.Random(101)

@@ -209,6 +209,25 @@ class TestSatisfaction:
                            SignatureMorphism.identity(SCHEMA.predicates[r]))
             assert intent_contains(m, c)
 
+    def test_direct_form_agrees_with_adjoint_random(self):
+        # satisfaction is decided by projecting the target into the source;
+        # the adjoint form, target within the preimage of the source, agrees
+        rng = random.Random(113)
+        outcomes = set()
+        for _ in range(150):
+            td = rand_type_domain(rng)
+            schema = rand_schema(rng, td)
+            m = rand_lax_structure(rng, schema, td)
+            target = rand_formula(rng, schema, td, depth=2)
+            h = rand_sig_morphism(rng, infer_signature(target, schema))
+            source = rand_formula(rng, schema, td, h.source, depth=2)
+            preimage = fiber_flow("preimage", h, interpret_relation(m, source), td)
+            adjoint = interpret_relation(m, target).tuples <= preimage.tuples
+            verdict = satisfies_constraint(m, Constraint("c", source, target, h))
+            assert verdict.satisfied == adjoint
+            outcomes.add(adjoint)
+        assert outcomes == {True, False}
+
     def test_enfolding_matches_satisfaction(self):
         m = fixture_structure()
         for dept_rows in ({"d1": ("hr",)}, {"d2": ("it",)}):

@@ -292,6 +292,15 @@ class TestTypeDomainFlow:
         assert out.signature == Signature((), ())
         assert out.rows == {"k1": (), "k2": ()}
 
+    def test_levo_rejects_table_outside_target_domain(self):
+        # levo reads a table over a1; C is a sort of a2 only
+        a2 = TypeDomain(("C",), {"C": ("c",)})
+        a1 = TypeDomain(("S",), {"S": ("a", "b")})
+        m = TypeDomainMorphism.of({"C": "S"}, {"a": "c", "b": "c"})
+        t = Table(Signature.of([("0", "C")]), {"k": ("c",)})
+        with pytest.raises(UnknownSort):
+            table_flow_type_domain("levo", m, t, a2, a1)
+
     def test_dextro_against_brute_force_oracle(self):
         rng = random.Random(31)
         for _ in range(100):
