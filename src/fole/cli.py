@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Callable
 
-from .core import enumerate_tuples
+from .core import check_signature_morphism, check_type_domain_morphism
 from .errors import FoleError, UnresolvedReference
 from .formula import parse_formula
 from .logic_db import (
@@ -27,60 +27,51 @@ from .logic_db import (
 )
 from .specs import satisfies_spec, validate_spec_morphism
 from .structure import interpret_relation, interpret_table, validate_lax_morphism
-from .tables import Table, table_flow_type_domain
-from .workspace import (
-    Workspace,
-    key_name,
-    load_workspace,
-    table_to_json,
-)
+from .tables import table_flow_type_domain
+from .workspace import Workspace, dump_json, key_names, load_workspace
 
 
 def _emit(out, text: str):
     out.write(text + "\n")
 
 
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _ordered_tuples(rel, td):
-    order = {t: i for i, t in enumerate(enumerate_tuples(rel.signature, td))}
-    return sorted(rel.tuples, key=order.__getitem__)
+    """``rel``'s tuples in fiber order: by the mixed-radix number of the
+    indices of their values in the extents, with no walk over the fiber."""
+    rank, stride = [], 1
+    for s in reversed(rel.signature.sorts):
+        rank.insert(0, {v: i * stride for i, v in enumerate(td.extent(s))})
+        stride *= len(td.extent(s))
+    return sorted(rel.tuples, key=lambda t: sum(map(dict.__getitem__, rank, t)))
 
 
 def cmd_eval(ws: Workspace, structure: str, formula_text: str,
              as_table: bool = False, as_json: bool = False,
              out=sys.stdout) -> int:
-    entry = ws.require("structure", structure)
-    m = entry.lax
+    m = ws.require("structure", structure).lax
     phi = parse_formula(formula_text, m.schema, ws.sig_morphisms)
     rel = interpret_relation(m, phi)
     tuples = _ordered_tuples(rel, m.type_domain)
     if as_json:
-        payload = {
-            "signature": [[a, s] for a, s in rel.signature.pairs()],
-            "tuples": [list(t) for t in tuples],
-        }
+        payload = {"signature": rel.signature, "tuples": tuples}
         if as_table:
-            payload["table"] = table_to_json(interpret_table(m, phi))
-        _emit(out, _dump_json(payload))
+            payload["table"] = interpret_table(m, phi)
+        _emit(out, dump_json(payload))
         return 0
-    _emit(out, "\t".join(f"{a}:{s}" for a, s in rel.signature.pairs()))
-    for t in tuples:
-        _emit(out, "\t".join(t))
+    lines = ["\t".join(f"{a}:{s}" for a, s in rel.signature.pairs()),
+             *map("\t".join, tuples)]
     if as_table:
-        table = interpret_table(m, phi)
-        _emit(out, "-- table keys --")
-        for k, t in table.rows.items():
-            _emit(out, key_name(k) + "\t" + "\t".join(t))
+        rows = interpret_table(m, phi).rows
+        lines += ["-- table keys --", *map("\t".join, zip(
+            key_names(list(rows)), map("\t".join, rows.values())))]
+    _emit(out, "\n".join(lines))
     return 0
 
 
 def _report(out, as_json: bool, lines: list[dict]) -> int:
     ok = all(line["ok"] for line in lines)
     if as_json:
-        _emit(out, _dump_json({"ok": ok, "items": lines}))
+        _emit(out, dump_json({"ok": ok, "items": lines}))
     else:
         for line in lines:
             status = "OK" if line["ok"] else f"FAIL {line.get('code', 'ERROR')}"
@@ -145,10 +136,8 @@ def _check_morphism(ws: Workspace, name: str) -> dict:
             dm, ws.require("database", src), ws.require("database", tgt)
         ))
     if name in ws.sig_morphisms:
-        from .core import check_signature_morphism
         return _checked(name, lambda: check_signature_morphism(ws.sig_morphisms[name]))
     if name in ws.type_domain_morphisms:
-        from .core import check_type_domain_morphism
         m, src, tgt = ws.type_domain_morphisms[name]
         return _checked(name, lambda: check_type_domain_morphism(
             m, ws.require("typeDomain", src), ws.require("typeDomain", tgt)
@@ -156,55 +145,30 @@ def _check_morphism(ws: Workspace, name: str) -> dict:
     raise UnresolvedReference("morphism", name)
 
 
-def _spec_to_json(spec, schema_name: str) -> dict:
+def _fragment(db: Database, section: str, name: str, item: dict) -> dict:
+    """``db``'s type domain, schema and spec, plus ``item`` in ``section``."""
+    spec, schema = db.schema, db.schema.schema
     return {
-        "schema": schema_name,
-        "constraints": {
-            p: {
-                "sourcePredicate": c.source_predicate,
+        "typeDomains": {"typeDomain": db.type_domain.extents},
+        "schemas": {"schema": {"sorts": schema.sorts, "signatures": schema.signatures,
+                               "predicates": schema.predicates}},
+        "specs": {"spec": {"schema": "schema", "constraints": {
+            p: {"sourcePredicate": c.source_predicate,
                 "targetPredicate": c.target_predicate,
-                "h": dict(c.morphism.mapping),
-            }
-            for p, c in sorted(spec.constraints.items())
-        },
-        "composites": [
-            {"path": list(d.path), "equals": d.equals} for d in spec.composites
-        ],
+                "h": dict(c.morphism.mapping)}
+            for p, c in spec.constraints.items()},
+            "composites": [{"path": d.path, "equals": d.equals}
+                           for d in spec.composites]}},
+        section: {name: item},
     }
 
 
-def _schema_to_json(schema) -> dict:
-    return {
-        "sorts": list(schema.sorts),
-        "predicates": {r: [[a, s] for a, s in sig.pairs()]
-                       for r, sig in sorted(schema.predicates.items())},
-        "signatures": {n: [[a, s] for a, s in sig.pairs()]
-                       for n, sig in sorted(schema.signatures.items())},
-    }
-
-
-def _td_to_json(td) -> dict:
-    return {x: list(td.extents[x]) for x in td.sorts}
-
-
-def _db_fragment(db: Database, name: str, td_name: str, schema_name: str,
-                 spec_name: str) -> dict:
-    return {
-        "typeDomains": {td_name: _td_to_json(db.type_domain)},
-        "schemas": {schema_name: _schema_to_json(db.schema.schema)},
-        "specs": {spec_name: _spec_to_json(db.schema, schema_name)},
-        "databases": {
-            name: {
-                "schema": spec_name,
-                "typeDomain": td_name,
-                "tables": {r: table_to_json(t) for r, t in sorted(db.table_of.items())},
-                "constraintKeyMaps": {
-                    p: {key_name(k): key_name(v) for k, v in tm.key_map.items()}
-                    for p, tm in sorted(db.constraint_morphism.items())
-                },
-            }
-        },
-    }
+def _write(out_path: str, frag: dict, out) -> int:
+    text = dump_json(frag) + "\n"
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    _emit(out, f"WROTE {out_path}")
+    return 0
 
 
 def cmd_convert(ws: Workspace, direction: str, name: str, out_path: str,
@@ -214,39 +178,21 @@ def cmd_convert(ws: Workspace, direction: str, name: str, out_path: str,
         if not colon:
             raise UnresolvedReference("STRUCTURE:SPEC", name)
         m = ws.require("structure", struct_name).lax
-        spec = ws.require("spec", spec_name)
-        logic = SoundLogic(m, spec)
-        db = snd_to_db(logic)
-        frag = _db_fragment(db, f"{struct_name}__{spec_name}",
-                            "typeDomain", "schema", "spec")
+        db = snd_to_db(SoundLogic(m, ws.require("spec", spec_name)))
+        name = f"{struct_name}__{spec_name}"
     elif direction == "db-image":
-        db = ws.require("database", name)
-        frag = _db_fragment(db_image(db), f"{name}_image",
-                            "typeDomain", "schema", "spec")
+        db = db_image(ws.require("database", name))
+        name = f"{name}_image"
     elif direction == "db-to-snd":
         db = ws.require("database", name)
-        logic = db_to_snd(db)
-        frag = {
-            "typeDomains": {"typeDomain": _td_to_json(db.type_domain)},
-            "schemas": {"schema": _schema_to_json(db.schema.schema)},
-            "specs": {"spec": _spec_to_json(db.schema, "schema")},
-            "structures": {
-                f"{name}_structure": {
-                    "schema": "schema",
-                    "typeDomain": "typeDomain",
-                    "kind": "lax",
-                    "tables": {r: table_to_json(t)
-                               for r, t in sorted(logic.structure.table_of.items())},
-                }
-            },
-        }
+        return _write(out_path, _fragment(db, "structures", f"{name}_structure", {
+            "schema": "schema", "typeDomain": "typeDomain", "kind": "lax",
+            "tables": db_to_snd(db).structure.table_of}), out)
     else:
         raise SystemExit(f"unknown convert direction {direction!r}")
-    text = _dump_json(frag) + "\n"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    _emit(out, f"WROTE {out_path}")
-    return 0
+    return _write(out_path, _fragment(db, "databases", name, {
+        "schema": "spec", "typeDomain": "typeDomain", "tables": db.table_of,
+        "constraintKeyMaps": db.constraint_morphism}), out)
 
 
 def cmd_migrate(ws: Workspace, table_name: str, morphism_name: str,
@@ -257,34 +203,20 @@ def cmd_migrate(ws: Workspace, table_name: str, morphism_name: str,
     tables = ws.require("structure", struct_name).lax.table_of
     if predicate not in tables:
         raise UnresolvedReference("predicate", predicate)
-    table = tables[predicate]
     m, a2_name, a1_name = ws.require("typeDomainMorphism", morphism_name)
     a2 = ws.require("typeDomain", a2_name)
     a1 = ws.require("typeDomain", a1_name)
-    migrated = table_flow_type_domain(direction, m, table, a2, a1)
+    migrated = table_flow_type_domain(direction, m, tables[predicate], a2, a1)
     target_td, target_name = (a1, a1_name) if direction == "dextro" else (a2, a2_name)
     migrated.validate(target_td)
-    out_sig = [[a, s] for a, s in migrated.signature.pairs()]
-    frag = {
-        "typeDomains": {target_name: _td_to_json(target_td)},
-        "schemas": {
-            "schema": {"sorts": list(target_td.sorts),
-                       "predicates": {"migrated": out_sig}},
-        },
-        "structures": {
-            "migrated": {
-                "schema": "schema",
-                "typeDomain": target_name,
-                "kind": "lax",
-                "tables": {"migrated": table_to_json(migrated)},
-            }
-        },
-    }
-    text = _dump_json(frag) + "\n"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    _emit(out, f"WROTE {out_path}")
-    return 0
+    return _write(out_path, {
+        "typeDomains": {target_name: target_td.extents},
+        "schemas": {"schema": {"sorts": target_td.sorts,
+                               "predicates": {"migrated": migrated.signature}}},
+        "structures": {"migrated": {
+            "schema": "schema", "typeDomain": target_name, "kind": "lax",
+            "tables": {"migrated": migrated}}},
+    }, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,18 +260,16 @@ def main(argv=None, out=sys.stdout) -> int:
     args = build_parser().parse_args(argv)
     try:
         ws = load_workspace(args.workspace)
+        if ws.diagnostics and args.command != "check":
+            for diag in ws.diagnostics:
+                _emit(out, f"ITEM {diag.section}/{diag.name}: FAIL {diag.error}")
+            return 2
         if args.command == "eval":
-            if ws.diagnostics:
-                _print_diagnostics(ws, out)
-                return 2
             return cmd_eval(ws, args.structure, args.formula,
                             as_table=args.as_table, as_json=args.json, out=out)
         if args.command == "check":
             return cmd_check(ws, args.what, args.names,
                              as_json=args.json, out=out)
-        if ws.diagnostics:
-            _print_diagnostics(ws, out)
-            return 2
         if args.command == "convert":
             return cmd_convert(ws, args.direction, args.name, args.out, out=out)
         if args.command == "migrate":
@@ -349,11 +279,6 @@ def main(argv=None, out=sys.stdout) -> int:
         _emit(out, f"ERROR {type(exc).__name__}: {exc}")
         return 2
     raise SystemExit("unreachable")
-
-
-def _print_diagnostics(ws: Workspace, out):
-    for diag in ws.diagnostics:
-        _emit(out, f"ITEM {diag.section}/{diag.name}: FAIL {diag.error}")
 
 
 if __name__ == "__main__":

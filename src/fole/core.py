@@ -178,12 +178,6 @@ class SignatureMorphism:
             return lambda values: ()
         return itemgetter(*pos)
 
-    def apply(self, attr: str) -> str:
-        for a, b in self.mapping:
-            if a == attr:
-                return b
-        raise KeyError(attr)
-
     def then(self, other: "SignatureMorphism") -> "SignatureMorphism":
         """Diagrammatic composition: self then other."""
         if self.target != other.source:
@@ -259,12 +253,6 @@ class TypeDomainMorphism:
     @property
     def g(self) -> dict[str, str]:
         return dict(self.value_map)
-
-    def map_sort(self, sort: str) -> str:
-        return self.f[sort]
-
-    def map_value(self, value: str) -> str:
-        return self.g[value]
 
     def map_row(self, values: Row) -> Row:
         g = self.g

@@ -135,3 +135,11 @@ class UnresolvedReference(FoleError):
         super().__init__(f"unresolved {kind} reference {name!r}")
         self.kind = kind
         self.name = name
+
+
+class KeyCollision(FoleError):
+    pass
+
+
+class ShapeError(FoleError):
+    pass

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from itertools import repeat
+from typing import Optional
 
 from .core import (
     Signature,
@@ -22,7 +23,7 @@ from .core import (
     check_type_domain_morphism,
     pushed_signature,
 )
-from .errors import FoleError, UnresolvedReference
+from .errors import FoleError, KeyCollision, ShapeError, UnresolvedReference
 from .formula import Schema
 from .logic_db import (
     Database,
@@ -61,18 +62,79 @@ def _table(data, signature: Signature | None = None) -> Table:
 
 def key_name(key) -> str:
     """Stable string form for composite keys in serialized output."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, tuple):
-        return "(" + ",".join(key_name(k) for k in key) + ")"
-    return str(key)
+    return key_names([key])[0]
 
 
-def table_to_json(table: Table) -> dict:
-    return {
-        "signature": [[a, s] for a, s in table.signature.pairs()],
-        "rows": {key_name(k): list(v) for k, v in table.rows.items()},
-    }
+def key_names(keys) -> list:
+    """``key_name`` of each key (a tuple: its members' names, comma-joined in
+    parentheses), a column at a time where all are tuples of one length."""
+    if all(map(isinstance, keys, repeat(str))):
+        return list(keys)
+    if keys[0] and all(map(isinstance, keys, repeat(tuple))) \
+            and len(set(map(len, keys))) == 1:
+        return [f"({s})" for s in map(",".join, zip(*map(key_names, zip(*keys))))]
+    return [f"({','.join(key_names(k))})" if isinstance(k, tuple) else str(k)
+            for k in keys]
+
+
+_ENC = json.encoder.encode_basestring_ascii
+
+
+def _named(mapping: dict) -> tuple[list, list]:
+    """The key names of ``mapping``, sorted, and its values in their order.
+    Two keys with one name raise ``KeyCollision``: JSON keeps only one."""
+    names = key_names(list(mapping))
+    named = dict(zip(names, mapping.values()))
+    if len(named) < len(mapping):
+        first = {}
+        for k, name in zip(mapping, names):
+            if first.setdefault(name, k) != k:
+                raise KeyCollision(f"keys {first[name]!r} and {k!r} are both "
+                                   f"written as {name!r}")
+    names = sorted(named)
+    return names, list(map(named.__getitem__, names))
+
+
+def table_to_json(table: Table) -> str:
+    """The table as ``dump_json`` writes it at depth 0, rows sorted by name."""
+    rows = [f"{_ENC(n)}: [\n      " + ",\n      ".join(
+                [_ENC(v) if v.__class__ is str else _render(v, 3) for v in row])
+            + "\n    ]" if row else _ENC(n) + ": []"
+            for n, row in zip(*_named(table.rows))]
+    return _block(['"rows": ' + _block(rows, "{}", 1),
+                   '"signature": ' + _render(table.signature, 1)], "{}", 0)
+
+
+def dump_json(payload) -> str:
+    """Exactly ``json.dumps(payload, indent=2, sort_keys=True)``; the payload
+    may also hold a ``Signature`` (written as its pairs), a ``Table`` (as
+    ``table_to_json``) and a ``TableMorphism`` (its key map, by ``key_name``)."""
+    return _render(payload, 0)
+
+
+def _render(obj, depth: int) -> str:
+    if isinstance(obj, Table):
+        return table_to_json(obj).replace("\n", "\n" + "  " * depth)
+    if isinstance(obj, Signature):
+        obj = obj.pairs()
+    if isinstance(obj, TableMorphism):
+        names, targets = _named(obj.key_map)
+        obj = dict(zip(names, key_names(targets)))
+    if isinstance(obj, dict):
+        return _block([_ENC(k) + ": " + (_ENC(v) if v.__class__ is str
+                                         else _render(v, depth + 1))
+                       for k, v in sorted(obj.items())], "{}", depth)
+    if isinstance(obj, (list, tuple)):
+        return _block([_ENC(v) if v.__class__ is str else _render(v, depth + 1)
+                       for v in obj], "[]", depth)
+    return _ENC(obj) if isinstance(obj, str) else json.dumps(obj)
+
+
+def _block(parts: list, ends: str, depth: int) -> str:
+    if not parts:
+        return ends
+    pad = "\n" + "  " * depth
+    return ends[0] + pad + "  " + ("," + pad + "  ").join(parts) + pad + ends[1]
 
 
 @dataclass
@@ -127,25 +189,48 @@ class Workspace:
 
 def load_workspace(path: str) -> Workspace:
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return load_workspace_data(raw)
+        return load_workspace_data(json.load(fh))
+
+
+def _shaped(value, kind: type, path: str):
+    """``value`` if it is a ``kind``, else a ``ShapeError`` naming ``path``."""
+    if not isinstance(value, kind):
+        names = {dict: "an object", list: "a list", str: "a string"}
+        raise ShapeError(f"{path}: expected {names[kind]}, "
+                         f"got {names.get(type(value), json.dumps(value))}")
+    return value
 
 
 def load_workspace_data(raw: dict) -> Workspace:
     ws = Workspace()
 
-    def attempt(section: str, name: str, fn):
+    def attempt(section: str, name: str, fn) -> bool:
         try:
             fn()
-        except (FoleError, KeyError, ValueError) as exc:
+            return True
+        except (FoleError, KeyError, ValueError, TypeError, AttributeError) as exc:
             ws.diagnostics.append(Diagnostic(section, name, f"{type(exc).__name__}: {exc}"))
+            return False
 
-    for name, data in raw.get("typeDomains", {}).items():
+    def items(section: str) -> list:
+        """A section's (name, item) pairs; a wrong shape is a diagnostic."""
+        found = []
+        attempt("workspace", section, lambda: found.extend(
+            _shaped(raw.get(section, {}), dict, section).items()))
+        return [(n, d) for n, d in found if attempt(
+            section, n, lambda: _shaped(d, dict, f"{section}.{n}"))]
+
+    if not attempt("workspace", "", lambda: _shaped(raw, dict, "workspace")):
+        raw = {}
+
+    for name, data in items("typeDomains"):
         attempt("typeDomains", name, lambda: ws.type_domains.__setitem__(
-            name, TypeDomain(tuple(data), {x: tuple(vs) for x, vs in data.items()})
+            name, TypeDomain(tuple(data), {
+                x: tuple(_shaped(vs, list, f"typeDomains.{name}.{x}"))
+                for x, vs in data.items()})
         ))
 
-    for name, data in raw.get("schemas", {}).items():
+    for name, data in items("schemas"):
         def build_schema(name=name, data=data):
             schema = Schema(
                 sorts=tuple(data["sorts"]),
@@ -156,7 +241,7 @@ def load_workspace_data(raw: dict) -> Workspace:
             ws.schemas[name] = schema
         attempt("schemas", name, build_schema)
 
-    for name, data in raw.get("sigMorphisms", {}).items():
+    for name, data in items("sigMorphisms"):
         def build_sig_mor(name=name, data=data):
             h = SignatureMorphism.of(
                 _signature(data["source"]), _signature(data["target"]), data["map"]
@@ -165,7 +250,7 @@ def load_workspace_data(raw: dict) -> Workspace:
             ws.sig_morphisms[name] = h
         attempt("sigMorphisms", name, build_sig_mor)
 
-    for name, data in raw.get("typeDomainMorphisms", {}).items():
+    for name, data in items("typeDomainMorphisms"):
         def build_td_mor(name=name, data=data):
             m = TypeDomainMorphism.of(data["sortMap"], data["valueMap"])
             a2 = ws.require("typeDomain", data["source"])
@@ -174,7 +259,7 @@ def load_workspace_data(raw: dict) -> Workspace:
             ws.type_domain_morphisms[name] = (m, data["source"], data["target"])
         attempt("typeDomainMorphisms", name, build_td_mor)
 
-    for name, data in raw.get("structures", {}).items():
+    for name, data in items("structures"):
         def build_structure(name=name, data=data):
             schema = ws.require("schema", data["schema"])
             td = ws.require("typeDomain", data["typeDomain"])
@@ -199,7 +284,7 @@ def load_workspace_data(raw: dict) -> Workspace:
                 ws.structures[name] = StructureEntry("lax", lax)
         attempt("structures", name, build_structure)
 
-    for name, data in raw.get("specs", {}).items():
+    for name, data in items("specs"):
         def build_spec(name=name, data=data):
             schema = ws.require("schema", data["schema"])
             constraints = {}
@@ -219,7 +304,7 @@ def load_workspace_data(raw: dict) -> Workspace:
             ws.specs[name] = spec
         attempt("specs", name, build_spec)
 
-    for name, data in raw.get("databases", {}).items():
+    for name, data in items("databases"):
         def build_db(name=name, data=data):
             spec = ws.require("spec", data["schema"])
             td = ws.require("typeDomain", data["typeDomain"])
@@ -235,7 +320,7 @@ def load_workspace_data(raw: dict) -> Workspace:
             ws.databases[name] = Database(spec, td, tables, morphisms)
         attempt("databases", name, build_db)
 
-    for name, data in raw.get("specMorphisms", {}).items():
+    for name, data in items("specMorphisms"):
         def build_spec_mor(name=name, data=data):
             t2 = ws.require("spec", data["source"])
             t1 = ws.require("spec", data["target"])
@@ -244,13 +329,12 @@ def load_workspace_data(raw: dict) -> Workspace:
             ws.spec_morphisms[name] = (sm, data["source"], data["target"])
         attempt("specMorphisms", name, build_spec_mor)
 
-    for name, data in raw.get("structureMorphisms", {}).items():
+    for name, data in items("structureMorphisms"):
         def build_struc_mor(name=name, data=data):
             m2 = ws.require("structure", data["source"])
             m1 = ws.require("structure", data["target"])
             td_mor, _, _ = ws.type_domain_morphisms[data["typeDomainMorphism"]]
-            bridges = _bridges(data["bridges"], data["predicateMap"],
-                               m2.lax.schema, m1.lax.schema, td_mor)
+            bridges = _bridges(data, m2.lax.schema, m1.lax.schema, td_mor.f)
             if data.get("kind") == "strict":
                 if m2.strict is None or m1.strict is None:
                     raise UnresolvedReference("strict structure", data["source"])
@@ -272,7 +356,7 @@ def load_workspace_data(raw: dict) -> Workspace:
             ws.structure_morphisms[name] = (lax, data["source"], data["target"])
         attempt("structureMorphisms", name, build_struc_mor)
 
-    for name, data in raw.get("dbMorphisms", {}).items():
+    for name, data in items("dbMorphisms"):
         def build_db_mor(name=name, data=data):
             db2 = ws.require("database", data["source"])
             db1 = ws.require("database", data["target"])
@@ -293,23 +377,17 @@ def load_workspace_data(raw: dict) -> Workspace:
     return ws
 
 
-def _bridges(data, predicate_map, schema2: Schema, schema1: Schema,
-             td_mor: TypeDomainMorphism) -> dict[str, SignatureMorphism]:
-    out = {}
-    for r2, mapping in data.items():
-        pushed = pushed_signature(schema2.signature_of(r2), td_mor.f)
-        target = schema1.signature_of(predicate_map[r2])
-        out[r2] = SignatureMorphism.of(pushed, target, mapping)
-    return out
+def _bridges(data, schema2: Schema, schema1: Schema,
+             sort_map: dict) -> dict[str, SignatureMorphism]:
+    return {r2: SignatureMorphism.of(
+                pushed_signature(schema2.signature_of(r2), sort_map),
+                schema1.signature_of(data["predicateMap"][r2]), mapping)
+            for r2, mapping in data["bridges"].items()}
 
 
 def _spec_morphism(data, t2: AbstractSpec, t1: AbstractSpec) -> SpecMorphism:
     f = dict(data["sortMap"])
-    bridge = {}
-    for r2, mapping in data["bridges"].items():
-        pushed = pushed_signature(t2.schema.signature_of(r2), f)
-        target = t1.schema.signature_of(data["predicateMap"][r2])
-        bridge[r2] = SignatureMorphism.of(pushed, target, mapping)
+    bridge = _bridges(data, t2.schema, t1.schema, f)
     return SpecMorphism(
         predicate_map=dict(data["predicateMap"]),
         constraint_map=dict(data.get("constraintMap", {})),

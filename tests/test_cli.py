@@ -3,12 +3,16 @@
 import io
 import json
 import os
+import random
 
 import pytest
 
-from fole import load_workspace, key_equivalent, validate_database
-from fole.cli import main
-from fole.workspace import load_workspace_data
+from fole import (Relation, SoundLogic, db_image, db_to_snd,
+                  enumerate_tuples, key_equivalent, load_workspace, snd_to_db,
+                  TypeDomain, table_flow_type_domain, validate_database)
+from fole.cli import _ordered_tuples, main
+from fole.workspace import key_name, load_workspace_data
+from generators import rand_relation, rand_signature, rand_type_domain
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "workspace.json")
 
@@ -49,6 +53,26 @@ class TestLoadWorkspace:
         })
         assert [d.name for d in ws.diagnostics] == ["bad"]
         assert "good" in ws.structures and "bad" not in ws.structures
+
+    @pytest.mark.parametrize("raw, diagnostic", [
+        ({"typeDomains": []}, ("workspace", "typeDomains",
+                               "typeDomains: expected an object, got a list")),
+        ({"typeDomains": {"A": {"S": "xy"}}},
+         ("typeDomains", "A", "typeDomains.A.S: expected a list, got a string")),
+        ({"structures": {"M": 3}},
+         ("structures", "M", "structures.M: expected an object, got 3")),
+        ([], ("workspace", "", "workspace: expected an object, got a list")),
+    ])
+    def test_shape_error_names_json_path(self, raw, diagnostic):
+        ws = load_workspace_data(raw)
+        assert [(d.section, d.name, d.error) for d in ws.diagnostics] == \
+            [diagnostic[:2] + ("ShapeError: " + diagnostic[2],)]
+
+    def test_nested_shape_error_is_a_diagnostic(self):
+        ws = load_workspace_data({"schemas": {"Sch": {"sorts": ["S"],
+                                                      "predicates": []}}})
+        assert [(d.section, d.name) for d in ws.diagnostics] == \
+            [("schemas", "Sch")]
 
     def test_unresolved_reference_reported(self):
         ws = load_workspace_data({
@@ -96,6 +120,28 @@ class TestEval:
         code, text = run(["eval", "-w", FIXTURE, "-s", "M", "Emp /\\"])
         assert code == 2
         assert text.startswith("ERROR ParseError")
+
+
+def test_eval_order_is_enumeration_order():
+    """``eval`` sorts by extent indices; the order is the fiber's
+    enumeration order, for empty relations and zero-arity signatures too."""
+    rng = random.Random(7)
+    cases = 0
+    for i in range(300):
+        td = rand_type_domain(rng, max_extent=4, min_extent=i % 4 > 0)
+        # extents out of value order, so sorting by value would differ
+        td = TypeDomain(td.sorts, {x: tuple(rng.sample(vs, len(vs)))
+                                   for x, vs in td.extents.items()})
+        sig = rand_signature(rng, td, max_len=4 if i % 3 else 0,
+                             min_len=i % 3 > 0)
+        rel = rand_relation(rng, sig, td)
+        if i % 5 == 0:
+            rel = Relation.of(sig, [])
+        fiber = enumerate_tuples(sig, td)
+        assert _ordered_tuples(rel, td) == [t for t in fiber
+                                            if t in rel.tuples]
+        cases += len(rel.tuples) > 1
+    assert cases > 80
 
 
 class TestCheck:
@@ -253,6 +299,150 @@ class TestWorkspaceLoadErrors:
         assert code == 2
         assert text.startswith("ERROR JSONDecodeError: ")
         assert text.count("\n") == 1
+
+
+class TestShapeErrorsExit2:
+    """A workspace of the wrong JSON shape ends in exit 2, never in a
+    traceback or in silently accepted input."""
+
+    def test_section_not_an_object(self, tmp_path):
+        path = tmp_path / "ws.json"
+        path.write_text('{"typeDomains": []}')
+        code, text = run(["check", "-w", str(path), "structure", "M"])
+        assert code == 2
+        assert text == ("ERROR UnresolvedReference: "
+                        "unresolved structure reference 'M'\n")
+        code, text = run(["eval", "-w", str(path), "-s", "M", "P"])
+        assert code == 2
+        assert text == ("ITEM workspace/typeDomains: FAIL ShapeError: "
+                        "typeDomains: expected an object, got a list\n")
+
+    def test_string_extent_not_split(self, tmp_path):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({
+            "typeDomains": {"A": {"S": "xy"}},
+            "schemas": {"Sch": {"sorts": ["S"],
+                                "predicates": {"P": [["0", "S"]]}}},
+            "structures": {"M": {"schema": "Sch", "typeDomain": "A",
+                                 "tables": {"P": {"rows": {"k": ["x"]}}}}},
+        }))
+        code, text = run(["eval", "-w", str(path), "-s", "M", "P"])
+        assert code == 2
+        assert text.split("\n")[0] == (
+            "ITEM typeDomains/A: FAIL ShapeError: "
+            "typeDomains.A.S: expected a list, got a string")
+
+
+class TestKeyCollision:
+    """Two keys that would be written under one name end in exit 2 instead
+    of a file that silently drops a row."""
+
+    def test_dextro_collision_exit_2(self, tmp_path):
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps({
+            "typeDomains": {"A": {"S": ["a,b", "a"], "T": ["c", "b,c"]},
+                            "B": {"U": ["u"], "V": ["v"]}},
+            "typeDomainMorphisms": {"g": {
+                "source": "B", "target": "A", "sortMap": {"U": "S", "V": "T"},
+                "valueMap": {"a,b": "u", "a": "u", "c": "v", "b,c": "v"}}},
+            "schemas": {"Sch": {"sorts": ["U", "V"],
+                                "predicates": {"P": [["x", "U"], ["y", "V"]]}}},
+            "structures": {"M": {"schema": "Sch", "typeDomain": "B",
+                                 "tables": {"P": {"rows": {"k": ["u", "v"]}}}}},
+        }))
+        out = tmp_path / "o.json"
+        code, text = run(["migrate", "-w", str(path), "M.P", "g", "dextro",
+                          "--out", str(out)])
+        assert code == 2
+        assert text == (
+            "ERROR KeyCollision: keys ('k', ('a,b', 'c')) and "
+            "('k', ('a', 'b,c')) are both written as '(k,(a,b,c))'\n")
+        assert not out.exists()
+
+
+FIXTURE_WRITES = [
+    ["convert", "snd-to-db", "M:FK"],
+    ["convert", "db-to-snd", "DB"],
+    ["convert", "db-image", "DB"],
+    ["migrate", "N.PairC", "collapse", "dextro"],
+    ["migrate", "M.Emp", "collapse", "levo"],
+]
+
+
+def written(argv, tmp_path):
+    out = tmp_path / "out.json"
+    code, _ = run(argv[:1] + ["-w", FIXTURE] + argv[1:] + ["--out", str(out)])
+    assert code == 0
+    return out.read_text(encoding="utf-8")
+
+
+class TestWriter:
+    """Every JSON output is ``json.dumps(indent=2, sort_keys=True)`` of its
+    own content, and every written fragment loads back to what was
+    written."""
+
+    @pytest.mark.parametrize("argv", FIXTURE_WRITES,
+                             ids=[" ".join(a) for a in FIXTURE_WRITES])
+    def test_files_are_canonical(self, tmp_path, argv):
+        text = written(argv, tmp_path)
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "-s", "M", "top@n2", "--json"],
+        ["eval", "-s", "M", "exists[h] Emp", "--json", "--as-table"],
+        ["eval", "-s", "N", "PairC", "--json", "--as-table"],
+        ["check", "spec-sat", "M", "Broken", "--json"],
+        ["check", "structure", "M", "N", "--json"],
+        ["check", "morphism", "idM", "idDB", "collapse", "--json"],
+    ])
+    def test_json_outputs_are_canonical(self, argv):
+        _, text = run(argv[:1] + ["-w", FIXTURE] + argv[1:])
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
+    def test_fragments_load_back_to_what_was_written(self, tmp_path):
+        ws = load_workspace(FIXTURE)
+        db = ws.databases["DB"]
+        m, a2, a1 = (ws.type_domain_morphisms["collapse"][0],
+                     ws.type_domains["B"], ws.type_domains["A"])
+        n_pair = ws.structures["N"].lax.table_of["PairC"]
+        m_emp = ws.structures["M"].lax.table_of["Emp"]
+        sent = snd_to_db(SoundLogic(ws.structures["M"].lax, ws.specs["FK"]))
+        image = db_image(db)
+        # (section, item name, written tables, written key maps)
+        expected = {
+            "convert snd-to-db M:FK": ("databases", "M__FK", sent.table_of,
+                                       sent.constraint_morphism),
+            "convert db-to-snd DB": ("structures", "DB_structure",
+                                     db_to_snd(db).structure.table_of, {}),
+            "convert db-image DB": ("databases", "DB_image", image.table_of,
+                                    image.constraint_morphism),
+            "migrate N.PairC collapse dextro": ("structures", "migrated", {
+                "migrated": table_flow_type_domain("dextro", m, n_pair,
+                                                   a2, a1)}, {}),
+            "migrate M.Emp collapse levo": ("structures", "migrated", {
+                "migrated": table_flow_type_domain("levo", m, m_emp,
+                                                   a2, a1)}, {}),
+        }
+        for argv in FIXTURE_WRITES:
+            section, name, tables, key_maps = expected[" ".join(argv)]
+            path = tmp_path / "frag.json"
+            path.write_text(written(argv, tmp_path), encoding="utf-8")
+            back = load_workspace(str(path))
+            assert not back.diagnostics
+            item = getattr(back, section)[name]
+            loaded = item.lax.table_of if section == "structures" \
+                else item.table_of
+            assert {r: (t.signature, t.rows) for r, t in loaded.items()} == {
+                r: (t.signature, {key_name(k): v for k, v in t.rows.items()})
+                for r, t in tables.items()}
+            if section == "databases":
+                assert {p: tm.key_map
+                        for p, tm in item.constraint_morphism.items()} == {
+                    p: {key_name(k): key_name(v)
+                        for k, v in tm.key_map.items()}
+                    for p, tm in key_maps.items()}
 
 
 class TestDeterminism:
