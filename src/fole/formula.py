@@ -10,7 +10,8 @@ Grammar (loosest to tightest, ``=>`` right-associative)::
     primary := IDENT | "top@"NAME | "bot@"NAME | "(" formula ")"
 
 Flow operators carry a named signature morphism resolved against an
-environment; atoms resolve against a schema.
+environment; atoms resolve against a schema.  Nesting is capped at
+``MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class Schema:
 
 
 # ---------------------------------------------------------------- AST nodes
+# Each connective states its DSL keyword or symbol and its fiber operation
+# once; consumers branch once per family and read these class attributes.
 
 @dataclass(frozen=True)
 class Atom:
@@ -60,112 +63,122 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Top:
+class Constant:
+    """The whole fiber or the empty one: ``keyword@NAME`` in the DSL, the
+    ``fiber_boolean`` operation ``op``."""
+
     signature: Signature
     name: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
-class Bottom:
-    signature: Signature
-    name: str = field(default="", compare=False)
+class Top(Constant):
+    keyword, op = "top", "top"
 
 
-@dataclass(frozen=True)
-class Meet:
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
-class Join:
-    lhs: "Formula"
-    rhs: "Formula"
+class Bottom(Constant):
+    keyword, op = "bot", "bottom"
 
 
 @dataclass(frozen=True)
 class Neg:
     body: "Formula"
+    symbol, op = "~", "negation"
 
 
 @dataclass(frozen=True)
-class Impl:
+class Binary:
+    """A connective whose operands and result share one fiber: the infix
+    ``symbol`` in the DSL, the ``fiber_boolean`` operation ``op``."""
+
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Diff:
-    lhs: "Formula"
-    rhs: "Formula"
+class Meet(Binary):
+    symbol, op = "/\\", "meet"
+
+
+class Join(Binary):
+    symbol, op = "\\/", "join"
+
+
+class Impl(Binary):
+    symbol, op = "=>", "implication"
+
+
+class Diff(Binary):
+    symbol, op = "\\\\", "difference"
 
 
 @dataclass(frozen=True)
-class Exists:
+class Flow:
+    """A flow along a named signature morphism: ``keyword[NAME]`` in the
+    DSL, the ``fiber_flow`` mode ``mode``."""
+
     morphism: SignatureMorphism
     body: "Formula"
     name: str = field(default="", compare=False)
 
-
-@dataclass(frozen=True)
-class Forall:
-    morphism: SignatureMorphism
-    body: "Formula"
-    name: str = field(default="", compare=False)
+    def fibers(self) -> tuple[Signature, Signature]:
+        """The body's fiber and the result's: from ``h.target`` to ``h.source``."""
+        return self.morphism.target, self.morphism.source
 
 
-@dataclass(frozen=True)
-class Subst:
-    morphism: SignatureMorphism
-    body: "Formula"
-    name: str = field(default="", compare=False)
+class Exists(Flow):
+    keyword, mode = "exists", "exists"
+
+
+class Forall(Flow):
+    keyword, mode = "forall", "forall"
+
+
+class Subst(Flow):
+    keyword, mode = "subst", "preimage"
+
+    def fibers(self) -> tuple[Signature, Signature]:  # the other way
+        return self.morphism.source, self.morphism.target
 
 
 Formula = Union[Atom, Top, Bottom, Meet, Join, Neg, Impl, Diff, Exists, Forall, Subst]
-
-_BINARY = {Meet: "/\\", Join: "\\/", Diff: "\\\\", Impl: "=>"}
-_FLOW = {Exists: "exists", Forall: "forall", Subst: "subst"}
 
 
 def infer_signature(phi: Formula, schema: Schema) -> Signature:
     """The unique fiber signature of a formula; rejects ill-typed nodes."""
     if isinstance(phi, Atom):
         return schema.signature_of(phi.predicate)
-    if isinstance(phi, (Top, Bottom)):
+    if isinstance(phi, Constant):
         return phi.signature
-    if isinstance(phi, (Meet, Join, Impl, Diff)):
+    if isinstance(phi, Neg):
+        return infer_signature(phi.body, schema)
+    if isinstance(phi, Binary):
         ls = infer_signature(phi.lhs, schema)
         rs = infer_signature(phi.rhs, schema)
         if ls != rs:
-            raise FiberMismatch(
-                f"operands of {_BINARY[type(phi)]} live in different fibers: {ls} vs {rs}"
-            )
+            raise FiberMismatch(f"operands of {phi.symbol} live in different "
+                                f"fibers: {ls} vs {rs}")
         return ls
-    if isinstance(phi, Neg):
-        return infer_signature(phi.body, schema)
-    if isinstance(phi, (Exists, Forall)):
+    if isinstance(phi, Flow):
+        expected, result = phi.fibers()
         body = infer_signature(phi.body, schema)
-        if body != phi.morphism.target:
-            raise FlowMismatch(
-                f"{_FLOW[type(phi)]} body over {body}, expected {phi.morphism.target}"
-            )
-        return phi.morphism.source
-    if isinstance(phi, Subst):
-        body = infer_signature(phi.body, schema)
-        if body != phi.morphism.source:
-            raise FlowMismatch(
-                f"subst body over {body}, expected {phi.morphism.source}"
-            )
-        return phi.morphism.target
+        if body != expected:
+            raise FlowMismatch(f"{phi.keyword} body over {body}, expected {expected}")
+        return result
     raise TypeError(f"not a formula node: {phi!r}")
 
 
 # ------------------------------------------------------------------ parser
 
+# Nesting levels a parsed formula may have, far below the recursion limit:
+# each parenthesis, prefix and operator of a chain (``=>`` too) opens one.
+MAX_DEPTH = 100
+_FLOWS = {c.keyword: c for c in (Exists, Forall, Subst)}
+_CONSTANTS = {c.keyword: c for c in (Top, Bottom)}
+_CHAINS = (Diff, Join, Meet)  # left-associative, loosest first
+
 _TOKEN = re.compile(
     r"\s*(?:"
-    r"(?P<flow>exists|forall|subst)\[(?P<mname>[A-Za-z_][\w.]*)\]"
-    r"|(?P<nullary>top|bot)@(?P<sname>[A-Za-z_][\w.]*)"
+    rf"(?P<flow>{'|'.join(_FLOWS)})\[(?P<mname>[A-Za-z_][\w.]*)\]"
+    rf"|(?P<nullary>{'|'.join(_CONSTANTS)})@(?P<sname>[A-Za-z_][\w.]*)"
     r"|(?P<ident>[A-Za-z_][\w.]*)"
     r"|(?P<op>/\\|\\/|\\\\|=>|~|\(|\))"
     r")"
@@ -173,22 +186,16 @@ _TOKEN = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
+    tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
             if text[pos:].strip() == "":
                 break
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("flow"):
-            tokens.append(("flow:" + m.group("flow"), m.group("mname"), m.start()))
-        elif m.group("nullary"):
-            tokens.append((m.group("nullary"), m.group("sname"), m.start()))
-        elif m.group("ident"):
-            tokens.append(("ident", m.group("ident"), m.start()))
-        else:
-            tokens.append((m.group("op"), m.group("op"), m.start()))
+        kind = m["flow"] or m["nullary"] or m["op"] or "ident"
+        value = m["mname"] or m["sname"] or m["op"] or m["ident"]
+        tokens.append((kind, value, m.start()))
         pos = m.end()
     return tokens
 
@@ -211,71 +218,57 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+    def nest(self, depth: int) -> int:
+        """Take the token that opens a level below ``depth``; the new depth."""
+        pos = self.take()[2]
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", pos)
+        return depth + 1
 
-    def formula(self) -> Formula:
-        lhs = self.diff()
-        if self.peek()[0] == "=>":
-            self.take()
-            return Impl(lhs, self.formula())
+    def formula(self, depth: int) -> Formula:
+        lhs = self.chain(depth)
+        if self.peek()[0] == Impl.symbol:
+            return Impl(lhs, self.formula(self.nest(depth)))
         return lhs
 
-    def diff(self) -> Formula:
-        lhs = self.join()
-        while self.peek()[0] == "\\\\":
-            self.take()
-            lhs = Diff(lhs, self.join())
+    def chain(self, depth: int, level: int = 0) -> Formula:
+        """A left-associative chain of ``_CHAINS[level]`` operators."""
+        if level == len(_CHAINS):
+            return self.unary(depth)
+        node = _CHAINS[level]
+        lhs = self.chain(depth, level + 1)
+        while self.peek()[0] == node.symbol:
+            depth = self.nest(depth)
+            lhs = node(lhs, self.chain(depth, level + 1))
         return lhs
 
-    def join(self) -> Formula:
-        lhs = self.meet()
-        while self.peek()[0] == "\\/":
-            self.take()
-            lhs = Join(lhs, self.meet())
-        return lhs
-
-    def meet(self) -> Formula:
-        lhs = self.unary()
-        while self.peek()[0] == "/\\":
-            self.take()
-            lhs = Meet(lhs, self.unary())
-        return lhs
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "~":
-            self.take()
-            return Neg(self.unary())
-        if kind in ("flow:exists", "flow:forall", "flow:subst"):
-            self.take()
+    def unary(self, depth: int) -> Formula:
+        kind, value, _ = self.peek()
+        if kind == Neg.symbol:
+            return Neg(self.unary(self.nest(depth)))
+        if kind in _FLOWS:
+            depth = self.nest(depth)
             if value not in self.morphisms:
                 raise UnknownMorphism(value)
-            h = self.morphisms[value]
-            body = self.unary()
-            node = {"flow:exists": Exists, "flow:forall": Forall,
-                    "flow:subst": Subst}[kind]
-            return node(h, body, name=value)
-        return self.primary()
+            return _FLOWS[kind](self.morphisms[value], self.unary(depth), name=value)
+        return self.primary(depth)
 
-    def primary(self) -> Formula:
+    def primary(self, depth: int) -> Formula:
+        if self.peek()[0] == "(":
+            inner = self.formula(self.nest(depth))
+            kind, value, pos = self.take()
+            if kind != ")":
+                raise ParseError(f"expected ')', found {value!r}", pos)
+            return inner
         kind, value, pos = self.take()
         if kind == "ident":
             if value not in self.schema.predicates:
                 raise UnknownPredicate(value)
             return Atom(value)
-        if kind in ("top", "bot"):
+        if kind in _CONSTANTS:
             if value not in self.signatures:
                 raise UnknownSignature(value)
-            sig = self.signatures[value]
-            return (Top if kind == "top" else Bottom)(sig, name=value)
-        if kind == "(":
-            inner = self.formula()
-            self.expect(")")
-            return inner
+            return _CONSTANTS[kind](self.signatures[value], name=value)
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
@@ -284,12 +277,13 @@ def parse_formula(text: str, schema: Schema,
                   signatures: Mapping[str, Signature] | None = None) -> Formula:
     """Parse the formula DSL; atoms resolve against ``schema``, flow
     annotations against ``morphisms``, top@/bot@ names against ``signatures``
-    (falling back to the schema's named signatures)."""
+    (falling back to the schema's named signatures).  A formula nested more
+    than ``MAX_DEPTH`` levels is a ``ParseError``."""
     sig_env = dict(schema.signatures)
     if signatures:
         sig_env.update(signatures)
     parser = _Parser(_tokenize(text), schema, morphisms or {}, sig_env)
-    phi = parser.formula()
+    phi = parser.formula(0)
     kind, value, pos = parser.peek()
     if kind is not None:
         raise ParseError(f"trailing input {value!r}", pos)
@@ -300,17 +294,15 @@ def print_formula(phi: Formula) -> str:
     """Canonical printer; parse(print(phi)) == phi for resolvable names."""
     if isinstance(phi, Atom):
         return phi.predicate
-    if isinstance(phi, Top):
-        return f"top@{phi.name}" if phi.name else f"top@{phi.signature}"
-    if isinstance(phi, Bottom):
-        return f"bot@{phi.name}" if phi.name else f"bot@{phi.signature}"
+    if isinstance(phi, Constant):
+        return f"{phi.keyword}@{phi.name or phi.signature}"
     if isinstance(phi, Neg):
-        return f"~{print_formula(phi.body)}"
-    if isinstance(phi, (Exists, Forall, Subst)):
-        op = _FLOW[type(phi)]
-        return f"{op}[{phi.name}] {print_formula(phi.body)}"
-    op = _BINARY[type(phi)]
-    return f"({print_formula(phi.lhs)} {op} {print_formula(phi.rhs)})"
+        return f"{phi.symbol}{print_formula(phi.body)}"
+    if isinstance(phi, Flow):
+        return f"{phi.keyword}[{phi.name}] {print_formula(phi.body)}"
+    if isinstance(phi, Binary):
+        return f"({print_formula(phi.lhs)} {phi.symbol} {print_formula(phi.rhs)})"
+    raise TypeError(f"not a formula node: {phi!r}")
 
 
 # ----------------------------------------------------- sequents/constraints

@@ -30,10 +30,13 @@ from .errors import (
 )
 from .formula import (
     Atom,
+    Binary,
     Bottom,
+    Constant,
     Constraint,
     Diff,
     Exists,
+    Flow,
     Forall,
     Formula,
     Impl,
@@ -117,42 +120,26 @@ def to_lax(m: StrictStructure) -> LaxStructure:
 # ----------------------------------------------------------- interpretation
 
 def interpret_relation(m: LaxStructure, phi: Formula) -> Relation:
-    """Structural recursion into the relation fibers."""
+    """Structural recursion into the relation fibers, after one type check
+    of the whole formula: each node reads its operands' fibers off them."""
+    infer_signature(phi, m.schema)
+    return _interpret(m, phi)
+
+
+def _interpret(m: LaxStructure, phi: Formula) -> Relation:
     td = m.type_domain
     if isinstance(phi, Atom):
         return table_image(m.table_of[phi.predicate])
-    if isinstance(phi, Top):
-        return fiber_boolean("top", phi.signature, td)
-    if isinstance(phi, Bottom):
-        return fiber_boolean("bottom", phi.signature, td)
-    if isinstance(phi, Meet):
-        return fiber_boolean("meet", infer_signature(phi, m.schema), td,
-                             interpret_relation(m, phi.lhs),
-                             interpret_relation(m, phi.rhs))
-    if isinstance(phi, Join):
-        return fiber_boolean("join", infer_signature(phi, m.schema), td,
-                             interpret_relation(m, phi.lhs),
-                             interpret_relation(m, phi.rhs))
-    if isinstance(phi, Impl):
-        return fiber_boolean("implication", infer_signature(phi, m.schema), td,
-                             interpret_relation(m, phi.lhs),
-                             interpret_relation(m, phi.rhs))
-    if isinstance(phi, Diff):
-        return fiber_boolean("difference", infer_signature(phi, m.schema), td,
-                             interpret_relation(m, phi.lhs),
-                             interpret_relation(m, phi.rhs))
+    if isinstance(phi, Constant):
+        return fiber_boolean(phi.op, phi.signature, td)
     if isinstance(phi, Neg):
-        return fiber_boolean("negation", infer_signature(phi, m.schema), td,
-                             interpret_relation(m, phi.body))
-    if isinstance(phi, Exists):
-        return fiber_flow("exists", phi.morphism,
-                          interpret_relation(m, phi.body), td)
-    if isinstance(phi, Forall):
-        return fiber_flow("forall", phi.morphism,
-                          interpret_relation(m, phi.body), td)
-    if isinstance(phi, Subst):
-        return fiber_flow("preimage", phi.morphism,
-                          interpret_relation(m, phi.body), td)
+        body = _interpret(m, phi.body)
+        return fiber_boolean(phi.op, body.signature, td, body)
+    if isinstance(phi, Binary):
+        lhs = _interpret(m, phi.lhs)
+        return fiber_boolean(phi.op, lhs.signature, td, lhs, _interpret(m, phi.rhs))
+    if isinstance(phi, Flow):
+        return fiber_flow(phi.mode, phi.morphism, _interpret(m, phi.body), td)
     raise TypeError(f"not a formula node: {phi!r}")
 
 
@@ -219,8 +206,8 @@ def interpret_by_oracle(m: LaxStructure, phi: Formula) -> Relation:
 # --------------------------------------------------------------- satisfaction
 
 def satisfies_sequent(m: LaxStructure, q: Sequent) -> bool:
-    q.check(m.schema)
-    return interpret_relation(m, q.lhs).tuples <= interpret_relation(m, q.rhs).tuples
+    q.check(m.schema)  # the one type check of both sides
+    return _interpret(m, q.lhs).tuples <= _interpret(m, q.rhs).tuples
 
 
 @dataclass
@@ -242,10 +229,10 @@ def satisfies_constraint(m: LaxStructure, c: Constraint) -> ConstraintVerdict:
     On success the witness is the table morphism between the tuple-keyed
     interpretations, with the canonical key choice (precomposition along the
     constraint's signature morphism)."""
-    c.check(m.schema)
+    c.check(m.schema)  # the one type check of both sides
     h = c.morphism
-    r_target = interpret_relation(m, c.target)   # over h.target
-    r_source = interpret_relation(m, c.source)   # over h.source
+    r_target = _interpret(m, c.target)   # over h.target
+    r_source = _interpret(m, c.source)   # over h.source
     projected = fiber_flow("exists", h, r_target, m.type_domain)
     if not projected.tuples <= r_source.tuples:
         bad = min(t for t in r_target.tuples

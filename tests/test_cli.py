@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from fole.workspace import key_name, load_workspace_data
 from generators import rand_relation, rand_signature, rand_type_domain
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "workspace.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(argv):
@@ -120,6 +122,76 @@ class TestEval:
         code, text = run(["eval", "-w", FIXTURE, "-s", "M", "Emp /\\"])
         assert code == 2
         assert text.startswith("ERROR ParseError")
+
+
+class TestFormulaTypeErrors:
+    """An ill-typed flow is reported by the one type check before any
+    evaluation, with the same diagnostic wherever it sits."""
+
+    EXISTS = ("ERROR FlowMismatch: exists body over (dept:D), "
+              "expected (name:S,dept:D)")
+
+    @pytest.mark.parametrize("formula, line", [
+        ("exists[h] Dept", EXISTS),
+        ("Dept /\\ exists[h] Dept", EXISTS),
+        ("subst[h] Emp", "ERROR FlowMismatch: subst body over "
+                         "(name:S,dept:D), expected (dept:D)"),
+        ("forall[h] Dept", "ERROR FlowMismatch: forall body over (dept:D), "
+                           "expected (name:S,dept:D)"),
+    ])
+    def test_ill_typed_flow(self, formula, line):
+        code, text = run(["eval", "-w", FIXTURE, "-s", "M", formula])
+        assert (code, text) == (2, line + "\n")
+
+
+def nested(shape: str, depth: int) -> str:
+    """A formula over ``Emp`` with ``depth`` nesting levels of one shape."""
+    if shape == "neg":
+        return "~" * depth + "Emp"
+    if shape == "paren":
+        return "(" * depth + "Emp" + ")" * depth
+    return f" {shape} ".join(["Emp"] * (depth + 1))
+
+
+# each shape at the nesting cap and the formula it must evaluate like
+SHAPES = {"neg": "Emp", "paren": "Emp", "=>": "Emp => Emp", "/\\": "Emp"}
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_at_cap_evaluates(self, shape):
+        code, text = run(["eval", "-w", FIXTURE, "-s", "M", nested(shape, 100)])
+        assert code == 0
+        assert text == run(["eval", "-w", FIXTURE, "-s", "M", SHAPES[shape]])[1]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_at_cap_evaluates_traced(self, shape):
+        """The per-layer tracer adds a wrapper frame to each traced call."""
+        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+        try:
+            from spans import Tracer
+        finally:
+            sys.path.pop(0)
+        tracer = Tracer()
+        tracer.install()
+        try:
+            code, text = run(["eval", "-w", FIXTURE, "-s", "M",
+                              nested(shape, 100)])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        assert text == run(["eval", "-w", FIXTURE, "-s", "M", SHAPES[shape]])[1]
+        assert tracer.stats["formula.parse_formula"].calls == 1
+
+    @pytest.mark.parametrize("depth", [101, 3000])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_past_cap_is_parse_error(self, shape, depth):
+        code, text = run(["eval", "-w", FIXTURE, "-s", "M", nested(shape, depth)])
+        # the offset of the token that opens level 101 (with the whitespace
+        # the tokenizer reports in front of it)
+        offset = 100 if shape in ("neg", "paren") else len(nested(shape, 100))
+        assert (code, text) == (2, "ERROR ParseError: formula nested deeper "
+                                   f"than 100 levels (at offset {offset})\n")
 
 
 def test_eval_order_is_enumeration_order():

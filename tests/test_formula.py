@@ -115,6 +115,26 @@ class TestParser:
             assert parse_formula(print_formula(phi), SCHEMA, MORPHISMS) == phi
 
 
+class TestNodes:
+    def test_equality_hash_repr(self):
+        """Nodes of one family differ by class; names do not count."""
+        a, b = Atom("Salaried"), Atom("Married")
+        assert Meet(a, b) == Meet(Atom("Salaried"), Atom("Married"))
+        assert hash(Meet(a, b)) == hash(Meet(Atom("Salaried"), Atom("Married")))
+        assert len({Meet(a, b), Join(a, b), Impl(a, b), Diff(a, b)}) == 4
+        assert Top(SIG1) != Bottom(SIG1)
+        assert Top(SIG1, name="x") == Top(SIG1)
+        assert Exists(H, a) != Forall(H, a)
+        assert Exists(H, a, name="h") == Exists(H, a)
+        assert repr(Diff(a, b)) == \
+            "Diff(lhs=Atom(predicate='Salaried'), rhs=Atom(predicate='Married'))"
+        assert repr(Subst(H, a, name="h")) == \
+            f"Subst(morphism={H!r}, body=Atom(predicate='Salaried'), name='h')"
+        assert repr(Bottom(SIG1, name="n")) == f"Bottom(signature={SIG1!r}, name='n')"
+        with pytest.raises(AttributeError):
+            Meet(a, b).lhs = b
+
+
 class TestInferSignature:
     def test_atom(self):
         assert infer_signature(Atom("Emp"), SCHEMA) == SIG2

@@ -11,6 +11,8 @@ from fole import (
     Exists,
     LaxStructure,
     LaxStructureMorphism,
+    Meet,
+    Neg,
     Schema,
     Sequent,
     Signature,
@@ -37,9 +39,13 @@ from fole import (
     validate_lax_morphism,
     validate_strict,
 )
+from fole import formula as formula_module
+from fole import structure as structure_module
 from fole.errors import (
     DefiningConditionViolation,
     EntityInfomorphismViolation,
+    FiberMismatch,
+    FlowMismatch,
     KeyBridgeViolation,
 )
 from generators import (
@@ -164,6 +170,48 @@ class TestInterpretation:
                 fiber_flow("forall", h, body, td)
             assert interpret_relation(m, Exists(h, phi)) == \
                 fiber_flow("exists", h, body, td)
+
+
+def ast_size(phi) -> int:
+    return 1 + sum(ast_size(getattr(phi, child)) for child in ("lhs", "rhs", "body")
+                   if hasattr(phi, child))
+
+
+class TestTypeCheckOnce:
+    def test_one_infer_signature_call_per_node(self, monkeypatch):
+        """Evaluation type-checks the whole formula once, at the root, not
+        again below every connective."""
+        calls = []
+
+        def counting(phi, schema):
+            calls.append(phi)
+            return original(phi, schema)
+
+        original = formula_module.infer_signature
+        monkeypatch.setattr(formula_module, "infer_signature", counting)
+        monkeypatch.setattr(structure_module, "infer_signature", counting)
+        rng = random.Random(67)
+        for _ in range(200):
+            td = rand_type_domain(rng)
+            schema = rand_schema(rng, td)
+            m = rand_lax_structure(rng, schema, td)
+            phi = rand_formula(rng, schema, td, depth=rng.randint(0, 4))
+            calls.clear()
+            interpret_relation(m, phi)
+            assert len(calls) == ast_size(phi)
+
+    def test_ill_typed_formula_fails_before_evaluating(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("evaluated an ill-typed formula")
+
+        monkeypatch.setattr(structure_module, "fiber_boolean", evaluated)
+        monkeypatch.setattr(structure_module, "fiber_flow", evaluated)
+        monkeypatch.setattr(structure_module, "table_image", evaluated)
+        m = fixture_structure()
+        for phi in (Exists(H, Atom("Dept")), Subst(H, Atom("Emp")),
+                    Meet(Top(SIG2), Neg(Meet(Atom("Emp"), Atom("Dept"))))):
+            with pytest.raises((FiberMismatch, FlowMismatch)):
+                interpret_relation(m, phi)
 
 
 class TestSatisfaction:
