@@ -11,23 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
 
-from .core import check_signature_morphism, check_type_domain_morphism
 from .errors import FoleError, UnresolvedReference
 from .formula import parse_formula
-from .logic_db import (
-    Database,
-    SoundLogic,
-    db_image,
-    db_to_snd,
-    snd_to_db,
-    validate_database,
-    validate_db_morphism,
-)
-from .specs import satisfies_spec, validate_spec_morphism
-from .structure import interpret_relation, interpret_table, validate_lax_morphism
-from .tables import table_flow_type_domain
+from .logic_db import Database, SoundLogic, db_image, db_to_snd, snd_to_db
+from .specs import satisfies_spec
+from .structure import interpret_relation, interpret_table
+from .tables import table_flow_type_domain, table_image
 from .workspace import Workspace, dump_json, key_names, load_workspace
 
 
@@ -50,18 +40,22 @@ def cmd_eval(ws: Workspace, structure: str, formula_text: str,
              out=sys.stdout) -> int:
     m = ws.require("structure", structure).lax
     phi = parse_formula(formula_text, m.schema, ws.sig_morphisms)
-    rel = interpret_relation(m, phi)
+    if as_table:
+        table = interpret_table(m, phi)
+        rel = table_image(table)
+    else:
+        rel = interpret_relation(m, phi)
     tuples = _ordered_tuples(rel, m.type_domain)
     if as_json:
         payload = {"signature": rel.signature, "tuples": tuples}
         if as_table:
-            payload["table"] = interpret_table(m, phi)
+            payload["table"] = table
         _emit(out, dump_json(payload))
         return 0
     lines = ["\t".join(f"{a}:{s}" for a, s in rel.signature.pairs()),
              *map("\t".join, tuples)]
     if as_table:
-        rows = interpret_table(m, phi).rows
+        rows = table.rows
         lines += ["-- table keys --", *map("\t".join, zip(
             key_names(list(rows)), map("\t".join, rows.values())))]
     _emit(out, "\n".join(lines))
@@ -80,69 +74,51 @@ def _report(out, as_json: bool, lines: list[dict]) -> int:
     return 0 if ok else 1
 
 
-def _checked(name: str, fn: Callable[[], None]) -> dict:
-    try:
-        fn()
+# The sections ``check`` looks a name up in, in this order, as ``require``
+# names them (a diagnostic names the JSON section, which adds an "s").
+_CHECKED = {
+    "structure": ("structure",),
+    "database": ("database",),
+    "morphism": ("structureMorphism", "specMorphism", "dbMorphism",
+                 "sigMorphism", "typeDomainMorphism"),
+}
+
+
+def _loaded(ws: Workspace, what: str, name: str) -> dict:
+    """The loader's verdict on ``name``: OK from the first of ``what``'s
+    sections that loaded it, FAIL with the diagnostic of one that did not."""
+    for section in _CHECKED[what]:
+        for diag in ws.diagnostics:
+            if (diag.section, diag.name) == (section + "s", name):
+                code, _, detail = diag.error.partition(": ")
+                return {"name": name, "ok": False, "code": code, "detail": detail}
+        try:
+            ws.require(section, name)
+        except UnresolvedReference:
+            continue
         return {"name": name, "ok": True}
-    except FoleError as exc:
-        return {"name": name, "ok": False,
-                "code": type(exc).__name__, "detail": str(exc)}
+    raise UnresolvedReference(what, name)
 
 
 def cmd_check(ws: Workspace, what: str, names: list[str],
               as_json: bool = False, out=sys.stdout) -> int:
-    lines: list[dict] = []
-    if what == "structure":
-        for name in names:
-            entry = ws.require("structure", name)
-            lines.append(_checked(name, entry.lax.validate))
+    if what in _CHECKED:
+        lines = [_loaded(ws, what, name) for name in names]
     elif what == "spec-sat":
         structure, spec_name = names
         m = ws.require("structure", structure).lax
         spec = ws.require("spec", spec_name)
         report = satisfies_spec(m, spec)
+        lines = []
         for cname, verdict in sorted(report.verdicts.items()):
             line = {"name": f"{spec_name}.{cname}", "ok": verdict.satisfied}
             if not verdict.satisfied:
                 line["code"] = "Unsatisfied"
                 line["detail"] = "witness tuple " + repr(verdict.violating_tuple)
             lines.append(line)
-    elif what == "morphism":
-        for name in names:
-            lines.append(_check_morphism(ws, name))
-    elif what == "database":
-        for name in names:
-            db = ws.require("database", name)
-            lines.append(_checked(name, lambda db=db: validate_database(db)))
     else:
         raise SystemExit(f"unknown check target {what!r}")
     return _report(out, as_json, lines)
-
-
-def _check_morphism(ws: Workspace, name: str) -> dict:
-    if name in ws.structure_morphisms:
-        lax, src, tgt = ws.structure_morphisms[name]
-        return _checked(name, lambda: validate_lax_morphism(
-            lax, ws.require("structure", src).lax, ws.require("structure", tgt).lax
-        ))
-    if name in ws.spec_morphisms:
-        sm, src, tgt = ws.spec_morphisms[name]
-        return _checked(name, lambda: validate_spec_morphism(
-            sm, ws.require("spec", src), ws.require("spec", tgt)
-        ))
-    if name in ws.db_morphisms:
-        dm, src, tgt = ws.db_morphisms[name]
-        return _checked(name, lambda: validate_db_morphism(
-            dm, ws.require("database", src), ws.require("database", tgt)
-        ))
-    if name in ws.sig_morphisms:
-        return _checked(name, lambda: check_signature_morphism(ws.sig_morphisms[name]))
-    if name in ws.type_domain_morphisms:
-        m, src, tgt = ws.type_domain_morphisms[name]
-        return _checked(name, lambda: check_type_domain_morphism(
-            m, ws.require("typeDomain", src), ws.require("typeDomain", tgt)
-        ))
-    raise UnresolvedReference("morphism", name)
 
 
 def _fragment(db: Database, section: str, name: str, item: dict) -> dict:
@@ -208,7 +184,6 @@ def cmd_migrate(ws: Workspace, table_name: str, morphism_name: str,
     a1 = ws.require("typeDomain", a1_name)
     migrated = table_flow_type_domain(direction, m, tables[predicate], a2, a1)
     target_td, target_name = (a1, a1_name) if direction == "dextro" else (a2, a2_name)
-    migrated.validate(target_td)
     return _write(out_path, {
         "typeDomains": {target_name: target_td.extents},
         "schemas": {"schema": {"sorts": target_td.sorts,

@@ -175,8 +175,9 @@ _FLOWS = {c.keyword: c for c in (Exists, Forall, Subst)}
 _CONSTANTS = {c.keyword: c for c in (Top, Bottom)}
 _CHAINS = (Diff, Join, Meet)  # left-associative, loosest first
 
+_SPACE = re.compile(r"\s*")
 _TOKEN = re.compile(
-    r"\s*(?:"
+    r"(?:"
     rf"(?P<flow>{'|'.join(_FLOWS)})\[(?P<mname>[A-Za-z_][\w.]*)\]"
     rf"|(?P<nullary>{'|'.join(_CONSTANTS)})@(?P<sname>[A-Za-z_][\w.]*)"
     r"|(?P<ident>[A-Za-z_][\w.]*)"
@@ -186,18 +187,19 @@ _TOKEN = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens, pos = [], 0
+    """(kind, value, offset) of each token, the offset being the token's
+    first character, then ``(None, None, len(text))`` for the end of input;
+    the whitespace between tokens is skipped."""
+    tokens, pos = [], _SPACE.match(text).end()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
-                break
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         kind = m["flow"] or m["nullary"] or m["op"] or "ident"
         value = m["mname"] or m["sname"] or m["op"] or m["ident"]
-        tokens.append((kind, value, m.start()))
-        pos = m.end()
-    return tokens
+        tokens.append((kind, value, pos))
+        pos = _SPACE.match(text, m.end()).end()
+    return tokens + [(None, None, len(text))]
 
 
 class _Parser:
@@ -211,7 +213,7 @@ class _Parser:
         self.signatures = signatures
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, -1)
+        return self.tokens[min(self.i, len(self.tokens) - 1)]
 
     def take(self):
         tok = self.peek()
@@ -258,7 +260,8 @@ class _Parser:
             inner = self.formula(self.nest(depth))
             kind, value, pos = self.take()
             if kind != ")":
-                raise ParseError(f"expected ')', found {value!r}", pos)
+                found = "end of input" if kind is None else repr(value)
+                raise ParseError(f"expected ')', found {found}", pos)
             return inner
         kind, value, pos = self.take()
         if kind == "ident":
@@ -269,6 +272,8 @@ class _Parser:
             if value not in self.signatures:
                 raise UnknownSignature(value)
             return _CONSTANTS[kind](self.signatures[value], name=value)
+        if kind is None:
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
 
 

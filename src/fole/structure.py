@@ -144,16 +144,22 @@ def _interpret(m: LaxStructure, phi: Formula) -> Relation:
 
 
 def interpret_table(m: LaxStructure, phi: Formula) -> Table:
-    """Keyed interpretation: atoms keep their stored keys, projection and
-    inflation act on keys, everything else routes through relations."""
+    """Keyed interpretation, after one type check of the whole formula:
+    atoms keep their stored keys, projection and inflation act on keys,
+    everything else routes through relations."""
+    infer_signature(phi, m.schema)
+    return _keyed(m, phi)
+
+
+def _keyed(m: LaxStructure, phi: Formula) -> Table:
     if isinstance(phi, Atom):
         return m.table_of[phi.predicate]
     if isinstance(phi, Exists):
-        return table_sigma(phi.morphism, interpret_table(m, phi.body))
+        return table_sigma(phi.morphism, _keyed(m, phi.body))
     if isinstance(phi, Subst):
-        return table_substitution(phi.morphism, interpret_table(m, phi.body),
+        return table_substitution(phi.morphism, _keyed(m, phi.body),
                                   m.type_domain)
-    return relation_include(interpret_relation(m, phi))
+    return relation_include(_interpret(m, phi))
 
 
 def tuple_satisfies(m: LaxStructure, t: Row, phi: Formula) -> bool:

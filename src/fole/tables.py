@@ -74,7 +74,7 @@ class Relation:
 
     @staticmethod
     def of(signature: Signature, tuples) -> "Relation":
-        return Relation(signature, frozenset(tuple(t) for t in tuples))
+        return Relation(signature, frozenset(map(tuple, tuples)))
 
     def sorted_tuples(self) -> list[Row]:
         return sorted(self.tuples)
@@ -282,7 +282,10 @@ def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
     dextro takes a table over ``a2`` to one over ``a1`` (signature pushed
     along the sort map, keys refined by a pullback); levo takes a table over
     ``a1`` to one over ``a2`` (signature pulled back along the sort map,
-    keys preserved, values pushed along the value map).
+    keys preserved, values pushed along the value map).  Levo checks that
+    the table is well-sorted over ``a1``; both outputs are well-sorted by
+    construction, since dextro draws values from ``a1``'s extents and the
+    infomorphism condition carries levo's values into ``a2``'s.
     """
     check_type_domain_morphism(m, a2, a1)
     f, g = m.f, m.g
@@ -313,6 +316,7 @@ def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
         for s1 in sig1.sorts:
             if s1 not in a1.sorts:
                 raise UnknownSort(s1)
+        table.validate(a1)
         attrs: list[str] = []
         sorts: list[str] = []
         picks: list[int] = []  # source position feeding each output attribute

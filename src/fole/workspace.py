@@ -181,6 +181,9 @@ class Workspace:
             "structure": self.structures,
             "spec": self.specs,
             "database": self.databases,
+            "specMorphism": self.spec_morphisms,
+            "structureMorphism": self.structure_morphisms,
+            "dbMorphism": self.db_morphisms,
         }[section]
         if name not in table:
             raise UnresolvedReference(section, name)
@@ -333,7 +336,8 @@ def load_workspace_data(raw: dict) -> Workspace:
         def build_struc_mor(name=name, data=data):
             m2 = ws.require("structure", data["source"])
             m1 = ws.require("structure", data["target"])
-            td_mor, _, _ = ws.type_domain_morphisms[data["typeDomainMorphism"]]
+            td_mor, _, _ = ws.require("typeDomainMorphism",
+                                      data["typeDomainMorphism"])
             bridges = _bridges(data, m2.lax.schema, m1.lax.schema, td_mor.f)
             if data.get("kind") == "strict":
                 if m2.strict is None or m1.strict is None:
@@ -360,9 +364,10 @@ def load_workspace_data(raw: dict) -> Workspace:
         def build_db_mor(name=name, data=data):
             db2 = ws.require("database", data["source"])
             db1 = ws.require("database", data["target"])
-            td_mor, _, _ = ws.type_domain_morphisms[data["typeDomainMorphism"]]
+            td_mor, _, _ = ws.require("typeDomainMorphism",
+                                      data["typeDomainMorphism"])
             if isinstance(data.get("specMorphism"), str):
-                sm, _, _ = ws.spec_morphisms[data["specMorphism"]]
+                sm, _, _ = ws.require("specMorphism", data["specMorphism"])
             else:
                 sm = _spec_morphism(data, db2.schema, db1.schema)
             dm = DatabaseMorphism(

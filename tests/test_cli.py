@@ -8,9 +8,12 @@ import sys
 
 import pytest
 
-from fole import (Relation, SoundLogic, db_image, db_to_snd,
+from fole import (Relation, SoundLogic, check_signature_morphism,
+                  check_type_domain_morphism, db_image, db_to_snd,
                   enumerate_tuples, key_equivalent, load_workspace, snd_to_db,
-                  TypeDomain, table_flow_type_domain, validate_database)
+                  TypeDomain, table_flow_type_domain, validate_database,
+                  validate_db_morphism, validate_lax_morphism,
+                  validate_spec_morphism)
 from fole.cli import _ordered_tuples, main
 from fole.workspace import key_name, load_workspace_data
 from generators import rand_relation, rand_signature, rand_type_domain
@@ -23,6 +26,22 @@ def run(argv):
     buf = io.StringIO()
     code = main(argv, out=buf)
     return code, buf.getvalue()
+
+
+def traced(fn):
+    """``fn()`` and the per-layer tracer's span statistics over that call."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from spans import Tracer
+    finally:
+        sys.path.pop(0)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        result = fn()
+    finally:
+        tracer.uninstall()
+    return result, tracer.stats
 
 
 class TestLoadWorkspace:
@@ -83,6 +102,17 @@ class TestLoadWorkspace:
         })
         assert len(ws.diagnostics) == 1
 
+    def test_dangling_morphism_names_are_unresolved_references(self):
+        raw = json.load(open(FIXTURE))
+        raw["structureMorphisms"]["idM"]["typeDomainMorphism"] = "nope"
+        raw["dbMorphisms"]["idDB"]["specMorphism"] = "gone"
+        ws = load_workspace_data(raw)
+        assert [(d.section, d.name, d.error) for d in ws.diagnostics] == [
+            ("structureMorphisms", "idM", "UnresolvedReference: unresolved "
+                                          "typeDomainMorphism reference 'nope'"),
+            ("dbMorphisms", "idDB", "UnresolvedReference: unresolved "
+                                    "specMorphism reference 'gone'")]
+
 
 class TestEval:
     def test_top_n2_four_rows(self):
@@ -122,6 +152,22 @@ class TestEval:
         code, text = run(["eval", "-w", FIXTURE, "-s", "M", "Emp /\\"])
         assert code == 2
         assert text.startswith("ERROR ParseError")
+
+    @pytest.mark.parametrize("formula, error", [
+        ("(Emp", "expected ')', found end of input (at offset 4)"),
+        ("Emp   ) ", "trailing input ')' (at offset 6)"),
+    ])
+    def test_parse_error_offset_is_the_tokens(self, formula, error):
+        code, text = run(["eval", "-w", FIXTURE, "-s", "M", formula])
+        assert (code, text) == (2, f"ERROR ParseError: {error}\n")
+
+    def test_as_table_evaluates_once(self):
+        argv = ["eval", "-w", FIXTURE, "-s", "M", "~(Emp /\\ Salaried) \\/ Emp"]
+        plain = traced(lambda: run(argv))[1]
+        keyed = traced(lambda: run(argv + ["--as-table"]))[1]
+        for key, calls in [("formula.infer_signature", 6),
+                           ("tables.fiber_boolean", 3)]:
+            assert plain[key].calls == keyed[key].calls == calls
 
 
 class TestFormulaTypeErrors:
@@ -167,29 +213,20 @@ class TestNestingCap:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_at_cap_evaluates_traced(self, shape):
         """The per-layer tracer adds a wrapper frame to each traced call."""
-        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-        try:
-            from spans import Tracer
-        finally:
-            sys.path.pop(0)
-        tracer = Tracer()
-        tracer.install()
-        try:
-            code, text = run(["eval", "-w", FIXTURE, "-s", "M",
-                              nested(shape, 100)])
-        finally:
-            tracer.uninstall()
+        (code, text), stats = traced(lambda: run(
+            ["eval", "-w", FIXTURE, "-s", "M", nested(shape, 100)]))
         assert code == 0
         assert text == run(["eval", "-w", FIXTURE, "-s", "M", SHAPES[shape]])[1]
-        assert tracer.stats["formula.parse_formula"].calls == 1
+        assert stats["formula.parse_formula"].calls == 1
 
     @pytest.mark.parametrize("depth", [101, 3000])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_past_cap_is_parse_error(self, shape, depth):
         code, text = run(["eval", "-w", FIXTURE, "-s", "M", nested(shape, depth)])
-        # the offset of the token that opens level 101 (with the whitespace
-        # the tokenizer reports in front of it)
-        offset = 100 if shape in ("neg", "paren") else len(nested(shape, 100))
+        # the offset of the token that opens level 101, past the space
+        # in front of it
+        offset = 100 if shape in ("neg", "paren") else len(nested(shape, 100)) + 1
+        assert nested(shape, depth)[offset] in "~(=/"
         assert (code, text) == (2, "ERROR ParseError: formula nested deeper "
                                    f"than 100 levels (at offset {offset})\n")
 
@@ -243,13 +280,78 @@ class TestCheck:
         assert code == 0
         assert text.count(": OK") == 5
 
-    def test_invalid_db_morphism_reported(self):
+    def test_invalid_db_morphism_reported(self, tmp_path):
         raw = json.load(open(FIXTURE))
         # break the key bridge: d2 holds (it,), not k1's projection target
         raw["dbMorphisms"]["idDB"]["keyBridges"]["Dept"]["d1"] = "d2"
         ws = load_workspace_data(raw)
         assert any(d.section == "dbMorphisms" and
                    "KeyBridgeViolation" in d.error for d in ws.diagnostics)
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        code, text = run(["check", "-w", str(path), "morphism", "idDB"])
+        assert code == 1
+        assert text.startswith("ITEM idDB: FAIL KeyBridgeViolation ")
+
+    def test_item_that_failed_to_load_is_a_fail_line(self, tmp_path):
+        raw = json.load(open(FIXTURE))
+        raw["structures"]["M"]["tables"]["Emp"]["rows"]["k1"] = ["ann", "zzz"]
+        raw["databases"]["DB"]["tables"]["Emp"]["rows"]["k1"] = ["ann", "zzz"]
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        detail = "row 'k1' = ('ann', 'zzz') is not well-sorted over (name:S,dept:D)"
+        fail = {"ok": False, "code": "SignatureMismatch", "detail": detail}
+        for argv, lines, items in [
+            (["structure", "M", "N"],
+             [f"ITEM M: FAIL SignatureMismatch {detail}", "ITEM N: OK"],
+             [dict(fail, name="M"), {"name": "N", "ok": True}]),
+            (["database", "DB"], [f"ITEM DB: FAIL SignatureMismatch {detail}"],
+             [dict(fail, name="DB")]),
+            (["morphism", "idM", "h"],
+             ["ITEM idM: FAIL UnresolvedReference unresolved structure "
+              "reference 'M'", "ITEM h: OK"],
+             [{"name": "idM", "ok": False, "code": "UnresolvedReference",
+               "detail": "unresolved structure reference 'M'"},
+              {"name": "h", "ok": True}]),
+        ]:
+            code, text = run(["check", "-w", str(path)] + argv)
+            assert (code, text.splitlines()) == (1, lines)
+            code, text = run(["check", "-w", str(path)] + argv + ["--json"])
+            assert (code, json.loads(text)) == (1, {"ok": False, "items": items})
+
+    @pytest.mark.parametrize("what, name", [
+        ("structure", "M"), ("database", "DB"), ("morphism", "h")])
+    def test_name_in_no_section_exit_2(self, what, name):
+        code, text = run(["check", "-w", FIXTURE, what, name, "nope"])
+        assert (code, text) == (2, "ERROR UnresolvedReference: unresolved "
+                                   f"{what} reference 'nope'\n")
+
+    def test_morphism_sections_in_order(self, tmp_path):
+        """A name in two morphism sections gets the verdict of the first
+        in the order structure, spec, db, signature, type-domain."""
+        raw = json.load(open(FIXTURE))
+        raw["sigMorphisms"]["idM"] = {"source": [["x", "S"]],
+                                      "target": [["y", "S"]], "map": {"x": "z"}}
+        raw["structureMorphisms"]["h"] = dict(
+            raw["structureMorphisms"]["idM"], typeDomainMorphism="nope")
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        code, text = run(["check", "-w", str(path), "morphism", "idM", "h"])
+        assert (code, text.splitlines()) == (1, [
+            "ITEM idM: OK",
+            "ITEM h: FAIL UnresolvedReference unresolved typeDomainMorphism "
+            "reference 'nope'"])
+
+    def test_check_calls_no_validator(self):
+        validators = ("structure.LaxStructure.validate",
+                      "logic_db.validate_database",
+                      "core.check_type_domain_morphism")
+        loaded = traced(lambda: load_workspace(FIXTURE))[1]
+        for argv in (["structure", "M", "N"], ["database", "DB"],
+                     ["morphism", "idM", "idFK", "idDB", "h", "collapse"]):
+            stats = traced(lambda: run(["check", "-w", FIXTURE] + argv))[1]
+            assert [stats[v].calls for v in validators] == \
+                [loaded[v].calls for v in validators]
 
     def test_json_report(self):
         code, text = run(["check", "-w", FIXTURE, "spec-sat", "M", "Broken",
@@ -258,6 +360,109 @@ class TestCheck:
         payload = json.loads(text)
         assert payload["ok"] is False
         assert payload["items"][0]["name"] == "Broken.empSalaried"
+
+
+REFERENCES = ("schema", "typeDomain", "source", "target",
+              "typeDomainMorphism", "specMorphism")
+
+
+def break_fixture(raw: dict, rng: random.Random, kind: str) -> None:
+    """Change one seeded entry of ``kind`` in the fixture ``raw``; the new
+    value may break the entry, the items that reference it, or nothing."""
+    if kind == "row":
+        tables = [t for section in ("structures", "databases")
+                  for item in raw[section].values()
+                  for t in item["tables"].values()]
+        rows = rng.choice(tables)["rows"]
+        row = rows[rng.choice(sorted(rows))]
+        row[rng.randrange(len(row))] = "zzz"
+        return
+    if kind == "reference":
+        item, ref = rng.choice([(item, ref) for items in raw.values()
+                                for item in items.values() for ref in REFERENCES
+                                if isinstance(item.get(ref), str)])
+        item[ref] = "nope"
+        return
+    if kind == "keyMap":
+        entries = raw["databases"]["DB"]["constraintKeyMaps"]["empDept"]
+        values = ["d1", "d2"]
+    elif kind == "keyBridge":
+        bridges = rng.choice([raw["structureMorphisms"]["idM"],
+                              raw["dbMorphisms"]["idDB"]])["keyBridges"]
+        entries = bridges[rng.choice(sorted(bridges))]
+        values = sorted(entries)
+    elif kind == "sigAttr":
+        entries = rng.choice(
+            [m["map"] for m in raw["sigMorphisms"].values()]
+            + [c["h"] for spec in raw["specs"].values()
+               for c in spec["constraints"].values()]
+            + [b for section in ("specMorphisms", "structureMorphisms")
+               for m in raw[section].values() for b in m["bridges"].values()])
+        values = ["name", "dept", "0", "1"]
+    else:  # valueMap
+        entries = raw["typeDomainMorphisms"][
+            rng.choice(sorted(raw["typeDomainMorphisms"]))]["valueMap"]
+        values = ["ann", "bob", "hr", "c", "e"]
+    entries[rng.choice(sorted(entries))] = rng.choice(values + ["nope"])
+
+
+def validate_loaded(ws, name: str) -> None:
+    """Run the validator of the loaded item ``name`` directly."""
+    if name in ws.structures:
+        return ws.structures[name].lax.validate()
+    if name in ws.databases:
+        return validate_database(ws.databases[name])
+    if name in ws.sig_morphisms:
+        return check_signature_morphism(ws.sig_morphisms[name])
+    for items, validate, ends in [
+            (ws.structure_morphisms, validate_lax_morphism,
+             lambda n: ws.structures[n].lax),
+            (ws.spec_morphisms, validate_spec_morphism, ws.specs.__getitem__),
+            (ws.db_morphisms, validate_db_morphism, ws.databases.__getitem__),
+            (ws.type_domain_morphisms, check_type_domain_morphism,
+             ws.type_domains.__getitem__)]:
+        if name in items:
+            m, src, tgt = items[name]
+            return validate(m, ends(src), ends(tgt))
+    raise AssertionError(f"{name} did not load")
+
+
+CHECKED_SECTIONS = {
+    "structure": ("structures",),
+    "database": ("databases",),
+    "morphism": ("structureMorphisms", "specMorphisms", "dbMorphisms",
+                 "sigMorphisms", "typeDomainMorphisms"),
+}
+
+
+class TestCheckReportsTheLoader:
+    """``check`` reports the loader's verdict on each item, and every item
+    it calls OK passes its own validator: re-validating could not differ."""
+
+    @pytest.mark.parametrize("kind", ["row", "keyMap", "keyBridge", "sigAttr",
+                                      "valueMap", "reference"])
+    def test_seeded_mutations(self, tmp_path, kind):
+        verdicts = set()
+        for seed in range(8):
+            raw = json.load(open(FIXTURE))
+            break_fixture(raw, random.Random(seed), kind)
+            path = tmp_path / "ws.json"
+            path.write_text(json.dumps(raw))
+            ws = load_workspace_data(raw)
+            # the fixture's item names are unique across its sections
+            errors = {d.name: d.error for d in ws.diagnostics}
+            for what, sections in CHECKED_SECTIONS.items():
+                names = [n for section in sections for n in raw[section]]
+                code, text = run(["check", "-w", str(path), what] + names)
+                assert text.splitlines() == [
+                    f"ITEM {n}: FAIL " + errors[n].replace(": ", " ", 1)
+                    if n in errors else f"ITEM {n}: OK" for n in names]
+                assert code == int(any(n in errors for n in names))
+                for n in names:
+                    verdicts.add(n in errors)
+                    if n not in errors:
+                        validate_loaded(ws, n)
+        assert verdicts == {True, False}
 
 
 class TestConvert:
@@ -350,6 +555,21 @@ class TestMigrateConvertErrors:
         code, text = run(argv + ["--out", str(out)])
         assert code == 2
         assert text == f"ERROR {line}\n"
+        assert not out.exists()
+
+    def test_levo_value_outside_target_domain(self, tmp_path):
+        raw = json.load(open(FIXTURE))
+        raw["typeDomains"]["Z"] = {"S": ["ann", "bob", "zed"], "D": ["hr", "it"]}
+        m = raw["structures"]["M"]
+        raw["structures"]["Z"] = dict(m, typeDomain="Z", tables=dict(
+            m["tables"], Emp={"rows": {"k1": ["ann", "hr"], "k2": ["zed", "it"]}}))
+        path, out = tmp_path / "ws.json", tmp_path / "out.json"
+        path.write_text(json.dumps(raw))
+        code, text = run(["migrate", "-w", str(path), "Z.Emp", "collapse",
+                          "levo", "--out", str(out)])
+        assert (code, text) == (2, "ERROR SignatureMismatch: row 'k2' = "
+                                   "('zed', 'it') is not well-sorted over "
+                                   "(name:S,dept:D)\n")
         assert not out.exists()
 
 

@@ -102,6 +102,22 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_formula("Salaried $ Married", SCHEMA)
 
+    @pytest.mark.parametrize("text, message, offset", [
+        ("(Salaried", "expected ')', found end of input", 9),
+        ("(Salaried  Married)", "expected ')', found 'Married'", 11),
+        ("Salaried /\\  ", "unexpected end of input", 13),
+        ("  ", "unexpected end of input", 2),
+        ("Salaried   ) ", "trailing input ')'", 11),
+        ("Salaried  $", "unexpected character '$'", 10),
+    ])
+    def test_error_offset_is_the_tokens(self, text, message, offset):
+        """A parse error points at its token's first character, or at the
+        end of the text when the input ran out."""
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, SCHEMA)
+        assert (str(err.value), err.value.position) == \
+            (f"{message} (at offset {offset})", offset)
+
     def test_print_parse_round_trip(self):
         texts = [
             "Salaried /\\ Married",

@@ -196,9 +196,10 @@ class TestTypeCheckOnce:
             schema = rand_schema(rng, td)
             m = rand_lax_structure(rng, schema, td)
             phi = rand_formula(rng, schema, td, depth=rng.randint(0, 4))
-            calls.clear()
-            interpret_relation(m, phi)
-            assert len(calls) == ast_size(phi)
+            for interpret in (interpret_relation, interpret_table):
+                calls.clear()
+                interpret(m, phi)
+                assert len(calls) == ast_size(phi)
 
     def test_ill_typed_formula_fails_before_evaluating(self, monkeypatch):
         def evaluated(*args):
@@ -207,11 +208,14 @@ class TestTypeCheckOnce:
         monkeypatch.setattr(structure_module, "fiber_boolean", evaluated)
         monkeypatch.setattr(structure_module, "fiber_flow", evaluated)
         monkeypatch.setattr(structure_module, "table_image", evaluated)
+        monkeypatch.setattr(structure_module, "table_sigma", evaluated)
+        monkeypatch.setattr(structure_module, "table_substitution", evaluated)
         m = fixture_structure()
         for phi in (Exists(H, Atom("Dept")), Subst(H, Atom("Emp")),
                     Meet(Top(SIG2), Neg(Meet(Atom("Emp"), Atom("Dept"))))):
-            with pytest.raises((FiberMismatch, FlowMismatch)):
-                interpret_relation(m, phi)
+            for interpret in (interpret_relation, interpret_table):
+                with pytest.raises((FiberMismatch, FlowMismatch)):
+                    interpret(m, phi)
 
 
 class TestSatisfaction:
