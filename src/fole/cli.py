@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,7 +19,7 @@ from .logic_db import Database, SoundLogic, db_image, db_to_snd, snd_to_db
 from .specs import satisfies_spec
 from .structure import interpret_relation, interpret_table
 from .tables import table_flow_type_domain, table_image
-from .workspace import Workspace, dump_json, key_names, load_workspace
+from .workspace import SECTIONS, Workspace, dump_json, key_names, load_workspace
 
 
 def _emit(out, text: str):
@@ -74,8 +75,8 @@ def _report(out, as_json: bool, lines: list[dict]) -> int:
     return 0 if ok else 1
 
 
-# The sections ``check`` looks a name up in, in this order, as ``require``
-# names them (a diagnostic names the JSON section, which adds an "s").
+# The sections ``check`` looks a name up in, in this order, by their
+# ``SECTIONS`` names.
 _CHECKED = {
     "structure": ("structure",),
     "database": ("database",),
@@ -89,7 +90,7 @@ def _loaded(ws: Workspace, what: str, name: str) -> dict:
     sections that loaded it, FAIL with the diagnostic of one that did not."""
     for section in _CHECKED[what]:
         for diag in ws.diagnostics:
-            if (diag.section, diag.name) == (section + "s", name):
+            if (diag.section, diag.name) == (SECTIONS[section].key, name):
                 code, _, detail = diag.error.partition(": ")
                 return {"name": name, "ok": False, "code": code, "detail": detail}
         try:
@@ -194,7 +195,10 @@ def cmd_migrate(ws: Workspace, table_name: str, morphism_name: str,
     }, out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs more
+    than a parse."""
     parser = argparse.ArgumentParser(
         prog="fole",
         description="Finite many-sorted logic engine over relational tables",

@@ -20,7 +20,6 @@ from .core import (
     SignatureMorphism,
     TypeDomain,
     TypeDomainMorphism,
-    check_type_domain_morphism,
     enumerate_tuples,
     is_well_sorted,
     pushed_signature,
@@ -282,18 +281,20 @@ def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
     dextro takes a table over ``a2`` to one over ``a1`` (signature pushed
     along the sort map, keys refined by a pullback); levo takes a table over
     ``a1`` to one over ``a2`` (signature pulled back along the sort map,
-    keys preserved, values pushed along the value map).  Levo checks that
-    the table is well-sorted over ``a1``; both outputs are well-sorted by
-    construction, since dextro draws values from ``a1``'s extents and the
-    infomorphism condition carries levo's values into ``a2``'s.
+    keys preserved, values pushed along the value map).  ``m`` must be an
+    infomorphism from ``a2`` to ``a1``, as the workspace loader checks.
+    Each direction checks that the table is well-sorted over its source
+    domain; both outputs are well-sorted by construction, since dextro draws
+    values from ``a1``'s extents and the infomorphism condition carries
+    levo's values into ``a2``'s.
     """
-    check_type_domain_morphism(m, a2, a1)
     f, g = m.f, m.g
     if direction == "dextro":
         sig2 = table.signature
         for x2 in sig2.sorts:
             if x2 not in f:
                 raise UnknownSort(x2)
+        table.validate(a2)
         out_sig = pushed_signature(sig2, f)
         # inverse[x1][y2]: the values y1 of sort x1 with g(y1) = y2, in
         # extent order, so each row's pullback is a product of these lists.
@@ -305,8 +306,6 @@ def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
         lookups = [inverse[x1] for x1 in out_sig.sorts]
         rows: dict[Key, Row] = {}
         for k2, t2 in table.rows.items():
-            if len(t2) != len(lookups):
-                continue
             preimages = [inv.get(y2, ()) for inv, y2 in zip(lookups, t2)]
             for t1 in itertools.product(*preimages):
                 rows[(k2, t1)] = t1

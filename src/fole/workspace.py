@@ -1,10 +1,11 @@
 """Workspace file loading: one JSON file holding every named item.
 
-Top-level keys: "typeDomains", "schemas", "sigMorphisms", "structures",
-"specs", "databases", "specMorphisms", "structureMorphisms", "dbMorphisms",
-"typeDomainMorphisms".  All sections are optional; items resolve against
-each other by name.  Loading validates every item and collects diagnostics
-instead of aborting on the first failure.
+Top-level keys, in load order (``SECTIONS``): "typeDomains", "schemas",
+"sigMorphisms", "typeDomainMorphisms", "structures", "specs", "databases",
+"specMorphisms", "structureMorphisms", "dbMorphisms".  All sections are
+optional; an item refers by name only to items of earlier sections.  Loading
+validates every item and collects diagnostics instead of aborting on the
+first failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     Signature,
@@ -45,7 +46,6 @@ from .structure import (
     strict_morphism_to_lax,
     to_lax,
     validate_lax_morphism,
-    validate_strict,
 )
 from .tables import Table, TableMorphism
 
@@ -139,7 +139,6 @@ def _block(parts: list, ends: str, depth: int) -> str:
 
 @dataclass
 class StructureEntry:
-    kind: str  # "lax" | "strict"
     lax: LaxStructure
     strict: Optional[StrictStructure] = None
 
@@ -149,9 +148,6 @@ class Diagnostic:
     section: str
     name: str
     error: str
-
-    def __str__(self) -> str:
-        return f"{self.section} {self.name}: {self.error}"
 
 
 @dataclass
@@ -173,21 +169,10 @@ class Workspace:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def require(self, section: str, name: str):
-        table = {
-            "typeDomain": self.type_domains,
-            "schema": self.schemas,
-            "sigMorphism": self.sig_morphisms,
-            "typeDomainMorphism": self.type_domain_morphisms,
-            "structure": self.structures,
-            "spec": self.specs,
-            "database": self.databases,
-            "specMorphism": self.spec_morphisms,
-            "structureMorphism": self.structure_morphisms,
-            "dbMorphism": self.db_morphisms,
-        }[section]
-        if name not in table:
+        items = getattr(self, SECTIONS[section].field)
+        if name not in items:
             raise UnresolvedReference(section, name)
-        return table[name]
+        return items[name]
 
 
 def load_workspace(path: str) -> Workspace:
@@ -205,181 +190,168 @@ def _shaped(value, kind: type, path: str):
 
 
 def load_workspace_data(raw: dict) -> Workspace:
+    """Each section in ``SECTIONS`` order: first the shape of the section and
+    of each item, then each well-shaped item's build."""
     ws = Workspace()
 
-    def attempt(section: str, name: str, fn) -> bool:
+    def attempt(section: str, name: str, fn, *args) -> bool:
         try:
-            fn()
+            fn(*args)
             return True
         except (FoleError, KeyError, ValueError, TypeError, AttributeError) as exc:
             ws.diagnostics.append(Diagnostic(section, name, f"{type(exc).__name__}: {exc}"))
             return False
 
-    def items(section: str) -> list:
-        """A section's (name, item) pairs; a wrong shape is a diagnostic."""
-        found = []
-        attempt("workspace", section, lambda: found.extend(
-            _shaped(raw.get(section, {}), dict, section).items()))
-        return [(n, d) for n, d in found if attempt(
-            section, n, lambda: _shaped(d, dict, f"{section}.{n}"))]
-
-    if not attempt("workspace", "", lambda: _shaped(raw, dict, "workspace")):
+    if not attempt("workspace", "", _shaped, raw, dict, "workspace"):
         raw = {}
-
-    for name, data in items("typeDomains"):
-        attempt("typeDomains", name, lambda: ws.type_domains.__setitem__(
-            name, TypeDomain(tuple(data), {
-                x: tuple(_shaped(vs, list, f"typeDomains.{name}.{x}"))
-                for x, vs in data.items()})
-        ))
-
-    for name, data in items("schemas"):
-        def build_schema(name=name, data=data):
-            schema = Schema(
-                sorts=tuple(data["sorts"]),
-                predicates={r: _signature(sig) for r, sig in data["predicates"].items()},
-                signatures={n: _signature(sig)
-                            for n, sig in data.get("signatures", {}).items()},
-            )
-            ws.schemas[name] = schema
-        attempt("schemas", name, build_schema)
-
-    for name, data in items("sigMorphisms"):
-        def build_sig_mor(name=name, data=data):
-            h = SignatureMorphism.of(
-                _signature(data["source"]), _signature(data["target"]), data["map"]
-            )
-            check_signature_morphism(h)
-            ws.sig_morphisms[name] = h
-        attempt("sigMorphisms", name, build_sig_mor)
-
-    for name, data in items("typeDomainMorphisms"):
-        def build_td_mor(name=name, data=data):
-            m = TypeDomainMorphism.of(data["sortMap"], data["valueMap"])
-            a2 = ws.require("typeDomain", data["source"])
-            a1 = ws.require("typeDomain", data["target"])
-            check_type_domain_morphism(m, a2, a1)
-            ws.type_domain_morphisms[name] = (m, data["source"], data["target"])
-        attempt("typeDomainMorphisms", name, build_td_mor)
-
-    for name, data in items("structures"):
-        def build_structure(name=name, data=data):
-            schema = ws.require("schema", data["schema"])
-            td = ws.require("typeDomain", data["typeDomain"])
-            kind = data.get("kind", "lax")
-            if kind == "strict":
-                strict = StrictStructure(
-                    schema=schema,
-                    type_domain=td,
-                    keys=tuple(data["keys"]),
-                    classifies=frozenset((k, r) for k, r in data["classifies"]),
-                    tuple_of_key={k: tuple(v) for k, v in data["tuples"].items()},
-                )
-                validate_strict(strict)
-                ws.structures[name] = StructureEntry("strict", to_lax(strict), strict)
-            else:
-                tables = {
-                    r: _table(tdata, schema.signature_of(r))
-                    for r, tdata in data["tables"].items()
-                }
-                lax = LaxStructure(schema, td, tables)
-                lax.validate()
-                ws.structures[name] = StructureEntry("lax", lax)
-        attempt("structures", name, build_structure)
-
-    for name, data in items("specs"):
-        def build_spec(name=name, data=data):
-            schema = ws.require("schema", data["schema"])
-            constraints = {}
-            for pname, cdata in data.get("constraints", {}).items():
-                src = schema.signature_of(cdata["sourcePredicate"])
-                tgt = schema.signature_of(cdata["targetPredicate"])
-                h = SignatureMorphism.of(src, tgt, cdata["h"])
-                constraints[pname] = GeneratingConstraint(
-                    pname, cdata["sourcePredicate"], cdata["targetPredicate"], h
-                )
-            composites = tuple(
-                CompositeDeclaration(tuple(d["path"]), d["equals"])
-                for d in data.get("composites", [])
-            )
-            spec = AbstractSpec(schema, constraints, composites)
-            spec.validate()
-            ws.specs[name] = spec
-        attempt("specs", name, build_spec)
-
-    for name, data in items("databases"):
-        def build_db(name=name, data=data):
-            spec = ws.require("spec", data["schema"])
-            td = ws.require("typeDomain", data["typeDomain"])
-            tables = {
-                r: _table(tdata, spec.schema.signature_of(r))
-                for r, tdata in data["tables"].items()
-            }
-            morphisms = {}
-            for pname, kmap in data.get("constraintKeyMaps", {}).items():
-                morphisms[pname] = TableMorphism(
-                    spec.constraints[pname].morphism, dict(kmap)
-                )
-            ws.databases[name] = Database(spec, td, tables, morphisms)
-        attempt("databases", name, build_db)
-
-    for name, data in items("specMorphisms"):
-        def build_spec_mor(name=name, data=data):
-            t2 = ws.require("spec", data["source"])
-            t1 = ws.require("spec", data["target"])
-            sm = _spec_morphism(data, t2, t1)
-            validate_spec_morphism(sm, t2, t1)
-            ws.spec_morphisms[name] = (sm, data["source"], data["target"])
-        attempt("specMorphisms", name, build_spec_mor)
-
-    for name, data in items("structureMorphisms"):
-        def build_struc_mor(name=name, data=data):
-            m2 = ws.require("structure", data["source"])
-            m1 = ws.require("structure", data["target"])
-            td_mor, _, _ = ws.require("typeDomainMorphism",
-                                      data["typeDomainMorphism"])
-            bridges = _bridges(data, m2.lax.schema, m1.lax.schema, td_mor.f)
-            if data.get("kind") == "strict":
-                if m2.strict is None or m1.strict is None:
-                    raise UnresolvedReference("strict structure", data["source"])
-                sm = StrictStructureMorphism(
-                    predicate_map=dict(data["predicateMap"]),
-                    key_map=dict(data["keyMap"]),
-                    schema_bridge=bridges,
-                    td_morphism=td_mor,
-                )
-                lax = strict_morphism_to_lax(sm, m2.strict, m1.strict)
-            else:
-                lax = LaxStructureMorphism(
-                    predicate_map=dict(data["predicateMap"]),
-                    schema_bridge=bridges,
-                    td_morphism=td_mor,
-                    key_bridge={r: dict(km) for r, km in data["keyBridges"].items()},
-                )
-            validate_lax_morphism(lax, m2.lax, m1.lax)
-            ws.structure_morphisms[name] = (lax, data["source"], data["target"])
-        attempt("structureMorphisms", name, build_struc_mor)
-
-    for name, data in items("dbMorphisms"):
-        def build_db_mor(name=name, data=data):
-            db2 = ws.require("database", data["source"])
-            db1 = ws.require("database", data["target"])
-            td_mor, _, _ = ws.require("typeDomainMorphism",
-                                      data["typeDomainMorphism"])
-            if isinstance(data.get("specMorphism"), str):
-                sm, _, _ = ws.require("specMorphism", data["specMorphism"])
-            else:
-                sm = _spec_morphism(data, db2.schema, db1.schema)
-            dm = DatabaseMorphism(
-                spec_morphism=sm,
-                td_morphism=td_mor,
-                key_bridge={r: dict(km) for r, km in data["keyBridges"].items()},
-            )
-            validate_db_morphism(dm, db2, db1)
-            ws.db_morphisms[name] = (dm, data["source"], data["target"])
-        attempt("dbMorphisms", name, build_db_mor)
-
+    for section in SECTIONS.values():
+        key, items, found = section.key, getattr(ws, section.field), {}
+        attempt("workspace", key, lambda: found.update(
+            _shaped(raw.get(key, {}), dict, key)))
+        shaped = [(n, d) for n, d in found.items()
+                  if attempt(key, n, _shaped, d, dict, f"{key}.{n}")]
+        for name, data in shaped:
+            attempt(key, name, lambda: items.__setitem__(
+                name, section.build(ws, name, data)))
     return ws
+
+
+def _type_domain(ws: Workspace, name: str, data) -> TypeDomain:
+    return TypeDomain(tuple(data), {
+        x: tuple(_shaped(vs, list, f"typeDomains.{name}.{x}"))
+        for x, vs in data.items()})
+
+
+def _schema(ws: Workspace, name: str, data) -> Schema:
+    return Schema(
+        sorts=tuple(data["sorts"]),
+        predicates={r: _signature(sig) for r, sig in data["predicates"].items()},
+        signatures={n: _signature(sig)
+                    for n, sig in data.get("signatures", {}).items()})
+
+
+def _sig_morphism(ws: Workspace, name: str, data) -> SignatureMorphism:
+    h = SignatureMorphism.of(_signature(data["source"]),
+                             _signature(data["target"]), data["map"])
+    check_signature_morphism(h)
+    return h
+
+
+def _td_morphism(ws: Workspace, name: str, data):
+    m = TypeDomainMorphism.of(data["sortMap"], data["valueMap"])
+    a2 = ws.require("typeDomain", data["source"])
+    a1 = ws.require("typeDomain", data["target"])
+    check_type_domain_morphism(m, a2, a1)
+    return m, data["source"], data["target"]
+
+
+def _structure(ws: Workspace, name: str, data) -> StructureEntry:
+    schema = ws.require("schema", data["schema"])
+    td = ws.require("typeDomain", data["typeDomain"])
+    if data.get("kind", "lax") == "strict":
+        strict = StrictStructure(
+            schema=schema, type_domain=td, keys=tuple(data["keys"]),
+            classifies=frozenset((k, r) for k, r in data["classifies"]),
+            tuple_of_key={k: tuple(v) for k, v in data["tuples"].items()})
+        return StructureEntry(to_lax(strict), strict)
+    lax = LaxStructure(schema, td, {r: _table(tdata, schema.signature_of(r))
+                                    for r, tdata in data["tables"].items()})
+    lax.validate()
+    return StructureEntry(lax)
+
+
+def _spec(ws: Workspace, name: str, data) -> AbstractSpec:
+    schema = ws.require("schema", data["schema"])
+    constraints = {}
+    for pname, cdata in data.get("constraints", {}).items():
+        src = schema.signature_of(cdata["sourcePredicate"])
+        tgt = schema.signature_of(cdata["targetPredicate"])
+        h = SignatureMorphism.of(src, tgt, cdata["h"])
+        constraints[pname] = GeneratingConstraint(
+            pname, cdata["sourcePredicate"], cdata["targetPredicate"], h)
+    spec = AbstractSpec(schema, constraints, tuple(
+        CompositeDeclaration(tuple(d["path"]), d["equals"])
+        for d in data.get("composites", [])))
+    spec.validate()
+    return spec
+
+
+def _database(ws: Workspace, name: str, data) -> Database:
+    spec = ws.require("spec", data["schema"])
+    td = ws.require("typeDomain", data["typeDomain"])
+    tables = {r: _table(tdata, spec.schema.signature_of(r))
+              for r, tdata in data["tables"].items()}
+    return Database(spec, td, tables, {
+        pname: TableMorphism(spec.constraints[pname].morphism, dict(kmap))
+        for pname, kmap in data.get("constraintKeyMaps", {}).items()})
+
+
+def _spec_morphism(ws: Workspace, name: str, data):
+    t2 = ws.require("spec", data["source"])
+    t1 = ws.require("spec", data["target"])
+    sm = _spec_morphism_of(data, t2, t1)
+    validate_spec_morphism(sm, t2, t1)
+    return sm, data["source"], data["target"]
+
+
+def _structure_morphism(ws: Workspace, name: str, data):
+    m2 = ws.require("structure", data["source"])
+    m1 = ws.require("structure", data["target"])
+    td_mor, _, _ = ws.require("typeDomainMorphism", data["typeDomainMorphism"])
+    bridges = _bridges(data, m2.lax.schema, m1.lax.schema, td_mor.f)
+    if data.get("kind") == "strict":
+        if m2.strict is None or m1.strict is None:
+            raise UnresolvedReference("strict structure", data["source"])
+        sm = StrictStructureMorphism(
+            predicate_map=dict(data["predicateMap"]), key_map=dict(data["keyMap"]),
+            schema_bridge=bridges, td_morphism=td_mor)
+        lax = strict_morphism_to_lax(sm, m2.strict, m1.strict)
+    else:
+        lax = LaxStructureMorphism(
+            predicate_map=dict(data["predicateMap"]), schema_bridge=bridges,
+            td_morphism=td_mor,
+            key_bridge={r: dict(km) for r, km in data["keyBridges"].items()})
+    validate_lax_morphism(lax, m2.lax, m1.lax)
+    return lax, data["source"], data["target"]
+
+
+def _db_morphism(ws: Workspace, name: str, data):
+    db2 = ws.require("database", data["source"])
+    db1 = ws.require("database", data["target"])
+    td_mor, _, _ = ws.require("typeDomainMorphism", data["typeDomainMorphism"])
+    if isinstance(data.get("specMorphism"), str):
+        sm, _, _ = ws.require("specMorphism", data["specMorphism"])
+    else:
+        sm = _spec_morphism_of(data, db2.schema, db1.schema)
+    dm = DatabaseMorphism(
+        spec_morphism=sm, td_morphism=td_mor,
+        key_bridge={r: dict(km) for r, km in data["keyBridges"].items()})
+    validate_db_morphism(dm, db2, db1)
+    return dm, data["source"], data["target"]
+
+
+class Section(NamedTuple):
+    name: str  # as ``Workspace.require`` names it
+    key: str  # the top-level JSON key
+    field: str  # the ``Workspace`` field holding its items
+    build: Callable  # (ws, name, data) -> the validated item
+
+
+# Every section, in load order: an item refers only to earlier sections.
+SECTIONS = {s.name: s for s in (
+    Section("typeDomain", "typeDomains", "type_domains", _type_domain),
+    Section("schema", "schemas", "schemas", _schema),
+    Section("sigMorphism", "sigMorphisms", "sig_morphisms", _sig_morphism),
+    Section("typeDomainMorphism", "typeDomainMorphisms",
+            "type_domain_morphisms", _td_morphism),
+    Section("structure", "structures", "structures", _structure),
+    Section("spec", "specs", "specs", _spec),
+    Section("database", "databases", "databases", _database),
+    Section("specMorphism", "specMorphisms", "spec_morphisms", _spec_morphism),
+    Section("structureMorphism", "structureMorphisms", "structure_morphisms",
+            _structure_morphism),
+    Section("dbMorphism", "dbMorphisms", "db_morphisms", _db_morphism),
+)}
 
 
 def _bridges(data, schema2: Schema, schema1: Schema,
@@ -390,7 +362,8 @@ def _bridges(data, schema2: Schema, schema1: Schema,
             for r2, mapping in data["bridges"].items()}
 
 
-def _spec_morphism(data, t2: AbstractSpec, t1: AbstractSpec) -> SpecMorphism:
+def _spec_morphism_of(data, t2: AbstractSpec,
+                      t1: AbstractSpec) -> SpecMorphism:
     f = dict(data["sortMap"])
     bridge = _bridges(data, t2.schema, t1.schema, f)
     return SpecMorphism(

@@ -14,7 +14,7 @@ from fole import (Relation, SoundLogic, check_signature_morphism,
                   TypeDomain, table_flow_type_domain, validate_database,
                   validate_db_morphism, validate_lax_morphism,
                   validate_spec_morphism)
-from fole.cli import _ordered_tuples, main
+from fole.cli import _ordered_tuples, build_parser, main
 from fole.workspace import key_name, load_workspace_data
 from generators import rand_relation, rand_signature, rand_type_domain
 
@@ -112,6 +112,88 @@ class TestLoadWorkspace:
                                           "typeDomainMorphism reference 'nope'"),
             ("dbMorphisms", "idDB", "UnresolvedReference: unresolved "
                                     "specMorphism reference 'gone'")]
+
+    def test_section_shape_errors_come_before_its_build_errors(self):
+        raw = json.load(open(FIXTURE))
+        raw["structures"] = {"Z": 3, "Bad": strict_structure(k2=["bob", "zzz"]),
+                             "Y": [], "W": dict(strict_structure(), schema="nope")}
+        ws = load_workspace_data(raw)
+        assert [(d.section, d.name, d.error.partition(":")[0])
+                for d in ws.diagnostics
+                if d.section == "structures"] == [
+            ("structures", "Z", "ShapeError"),
+            ("structures", "Y", "ShapeError"),
+            ("structures", "Bad", "DefiningConditionViolation"),
+            ("structures", "W", "UnresolvedReference")]
+
+
+def strict_structure(**tuples) -> dict:
+    """Structure M of the fixture in strict form: one global key set, k1
+    classified by both Emp and Salaried; ``tuples`` overrides key tuples."""
+    return {"schema": "Company", "typeDomain": "A", "kind": "strict",
+            "keys": ["k1", "k2", "d1", "d2"],
+            "classifies": [["k1", "Emp"], ["k2", "Emp"], ["d1", "Dept"],
+                           ["d2", "Dept"], ["k1", "Salaried"]],
+            "tuples": dict({"k1": ["ann", "hr"], "k2": ["bob", "hr"],
+                            "d1": ["hr"], "d2": ["it"]}, **tuples)}
+
+
+def strict_morphism(source: str, **key_map) -> dict:
+    """A strict identity morphism from ``source`` to S along idA."""
+    ident = {"Emp": {"name": "name", "dept": "dept"}, "Dept": {"dept": "dept"},
+             "Salaried": {"name": "name", "dept": "dept"}}
+    return {"source": source, "target": "S", "kind": "strict",
+            "typeDomainMorphism": "idA",
+            "predicateMap": {r: r for r in ident}, "bridges": ident,
+            "keyMap": dict({k: k for k in ("k1", "k2", "d1", "d2")}, **key_map)}
+
+
+class TestStrictItems:
+    """Strict structures and strict structure morphisms load into their lax
+    forms; each failure is one diagnostic on the item."""
+
+    def load(self, structure=None, morphism=None):
+        raw = json.load(open(FIXTURE))
+        raw["structures"]["S"] = strict_structure()
+        raw["structureMorphisms"]["idS"] = strict_morphism("S")
+        if structure:
+            raw["structures"]["X"] = structure
+        if morphism:
+            raw["structureMorphisms"]["mX"] = morphism
+        return load_workspace_data(raw)
+
+    def test_strict_items_load_clean(self):
+        ws = self.load()
+        assert not ws.diagnostics
+        entry = ws.structures["S"]
+        assert entry.strict is not None and ws.structures["M"].strict is None
+        assert {r: t.rows for r, t in entry.lax.table_of.items()} == {
+            "Emp": {"k1": ("ann", "hr"), "k2": ("bob", "hr")},
+            "Dept": {"d1": ("hr",), "d2": ("it",)},
+            "Salaried": {"k1": ("ann", "hr")}}
+        lax, source, target = ws.structure_morphisms["idS"]
+        assert (source, target) == ("S", "S")
+        assert lax.key_bridge == {"Emp": {"k1": "k1", "k2": "k2"},
+                                  "Dept": {"d1": "d1", "d2": "d2"},
+                                  "Salaried": {"k1": "k1"}}
+
+    def test_ill_sorted_classified_tuple(self):
+        ws = self.load(structure=strict_structure(d2=["ann"]))
+        assert [(d.section, d.name, d.error) for d in ws.diagnostics] == [
+            ("structures", "X", "DefiningConditionViolation: key 'd2' "
+                                "classified by 'Dept' has an ill-sorted tuple")]
+
+    def test_strict_morphism_from_a_lax_structure(self):
+        ws = self.load(morphism=strict_morphism("M"))
+        assert [(d.section, d.name, d.error) for d in ws.diagnostics] == [
+            ("structureMorphisms", "mX", "UnresolvedReference: unresolved "
+                                         "strict structure reference 'M'")]
+
+    def test_swapped_keys(self):
+        ws = self.load(morphism=strict_morphism("S", k1="d1", d1="k1"))
+        assert [(d.section, d.name, d.error.partition(":")[0])
+                for d in ws.diagnostics] == [
+            ("structureMorphisms", "mX", "EntityInfomorphismViolation")]
 
 
 class TestEval:
@@ -531,6 +613,17 @@ class TestMigrate:
         table = ws.structures["migrated"].lax.table_of["migrated"]
         assert table.rows == {"k1": ("c", "e"), "k2": ("c", "e")}
 
+    def test_flows_do_not_recheck_the_morphism(self, tmp_path):
+        """The loader checks each type-domain morphism once; neither flow
+        checks it again."""
+        key = "core.check_type_domain_morphism"
+        loaded = traced(lambda: load_workspace(FIXTURE))[1][key].calls
+        for table, direction in (("M.Emp", "levo"), ("N.PairC", "dextro")):
+            (code, _), stats = traced(lambda: run([
+                "migrate", "-w", FIXTURE, table, "collapse", direction,
+                "--out", str(tmp_path / "mig.json")]))
+            assert (code, stats[key].calls) == (0, loaded)
+
 
 class TestMigrateConvertErrors:
     """A bad argument to migrate or convert ends in exit 2 and one ERROR
@@ -570,6 +663,21 @@ class TestMigrateConvertErrors:
         assert (code, text) == (2, "ERROR SignatureMismatch: row 'k2' = "
                                    "('zed', 'it') is not well-sorted over "
                                    "(name:S,dept:D)\n")
+        assert not out.exists()
+
+    def test_dextro_value_outside_source_domain(self, tmp_path):
+        raw = json.load(open(FIXTURE))
+        raw["typeDomains"]["B2"] = {"C": ["c", "x"], "E": ["e"]}
+        raw["structures"]["Y"] = dict(raw["structures"]["N"], typeDomain="B2",
+                                      tables={"PairC": {"rows": {
+                                          "p1": ["c", "c"], "p2": ["x", "c"]}}})
+        path, out = tmp_path / "ws.json", tmp_path / "out.json"
+        path.write_text(json.dumps(raw))
+        code, text = run(["migrate", "-w", str(path), "Y.PairC", "collapse",
+                          "dextro", "--out", str(out)])
+        assert (code, text) == (2, "ERROR SignatureMismatch: row 'p2' = "
+                                   "('x', 'c') is not well-sorted over "
+                                   "(0:C,1:C)\n")
         assert not out.exists()
 
 
@@ -735,6 +843,18 @@ class TestWriter:
                     p: {key_name(k): key_name(v)
                         for k, v in tm.key_map.items()}
                     for p, tm in key_maps.items()}
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_option_carries_over(self):
+        argv = ["eval", "-w", FIXTURE, "-s", "M", "Emp"]
+        code, text = run(argv + ["--json"])
+        assert (code, json.loads(text)["tuples"]) == (0, [["ann", "hr"],
+                                                          ["bob", "hr"]])
+        assert run(argv) == (0, "name:S\tdept:D\nann\thr\nbob\thr\n")
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Tables, relations, fiber operations, quantifier flow, type-domain flow."""
 
 import random
+import re
 
 import pytest
 
@@ -536,7 +537,12 @@ class TestWideDextro:
         assert out.rows == {}
         block = a2.extent(x2)[0]
         pre = [y1 for y1 in a1.extent(m.f[x2]) if m.g[y1] == block]
-        t = Table(sig2, {"short": (block,), "unmapped": (block, "nowhere"),
-                         "good": (block, block)})
+        for bad in ({"short": (block,)}, {"unmapped": (block, "nowhere")}):
+            (k, row), = bad.items()
+            t = Table(sig2, dict(bad, good=(block, block)))
+            with pytest.raises(SignatureMismatch, match=f"row '{k}' = "
+                               f"{re.escape(repr(row))} is not well-sorted"):
+                table_flow_type_domain("dextro", m, t, a2, a1)
+        t = Table(sig2, {"good": (block, block)})
         out = table_flow_type_domain("dextro", m, t, a2, a1)
         assert list(out.rows) == [("good", (y, z)) for y in pre for z in pre]
