@@ -106,6 +106,8 @@ def cmd_check(ws: Workspace, what: str, names: list[str],
     if what in _CHECKED:
         lines = [_loaded(ws, what, name) for name in names]
     elif what == "spec-sat":
+        if len(names) != 2:
+            raise UnresolvedReference("STRUCTURE SPEC", " ".join(names))
         structure, spec_name = names
         m = ws.require("structure", structure).lax
         spec = ws.require("spec", spec_name)

@@ -49,14 +49,13 @@ Key = Hashable
 
 @dataclass
 class SoundLogic:
-    """Structure + specification with satisfaction validated at construction."""
+    """Structure + specification, with satisfaction decided at construction;
+    the loader or a ``Database`` has validated both parts already."""
 
     structure: LaxStructure
     spec: AbstractSpec
 
     def __post_init__(self):
-        self.spec.validate()
-        self.structure.validate()
         report = satisfies_spec(self.structure, self.spec)
         if not report.satisfied:
             failure = report.first_failure()
@@ -82,6 +81,11 @@ class Database:
     def __post_init__(self):
         validate_database(self)
 
+    @property
+    def structure(self) -> LaxStructure:
+        """The constraint-free aspect: the tables as a lax structure."""
+        return LaxStructure(self.schema.schema, self.type_domain, self.table_of)
+
 
 class DatabaseProjection(NamedTuple):
     """The three projections of a database: signatures, key diagram, tuples."""
@@ -96,11 +100,7 @@ class DatabaseProjection(NamedTuple):
 def validate_database(db: Database) -> None:
     """Check typing, per-constraint naturality, and declared composites."""
     db.schema.validate()
-    for r, sig in db.schema.schema.predicates.items():
-        table = db.table_of.get(r)
-        if table is None or table.signature != sig:
-            raise SignatureMismatch(f"table for {r!r} missing or mistyped")
-        table.validate(db.type_domain)
+    db.structure.validate()
     for name, c in db.schema.constraints.items():
         tm = db.constraint_morphism.get(name)
         if tm is None:
@@ -160,9 +160,7 @@ def snd_to_db(logic: SoundLogic) -> Database:
 def db_to_snd(db: Database) -> SoundLogic:
     """Keep the tables as the structure (constraint-free aspect); the schema
     becomes the specification, whose satisfaction the logic re-verifies."""
-    return SoundLogic(
-        LaxStructure(db.schema.schema, db.type_domain, dict(db.table_of)),
-        db.schema)
+    return SoundLogic(db.structure, db.schema)
 
 
 def db_image(db: Database) -> Database:
@@ -200,12 +198,7 @@ def validate_db_morphism(dm: DatabaseMorphism, db2: Database, db1: Database) -> 
     """Check the pointwise key condition and the per-constraint naturality
     square at the relation level."""
     validate_spec_morphism(dm.spec_morphism, db2.schema, db1.schema)
-    lax = _db_mor_to_lax(dm)
-    validate_lax_morphism(
-        lax,
-        LaxStructure(db2.schema.schema, db2.type_domain, db2.table_of),
-        LaxStructure(db1.schema.schema, db1.type_domain, db1.table_of),
-    )
+    validate_lax_morphism(_db_mor_to_lax(dm), db2.structure, db1.structure)
     for p2_name, c2 in db2.schema.constraints.items():
         p1_name = dm.spec_morphism.constraint_map[p2_name]
         c1 = db1.schema.constraints[p1_name]
@@ -237,8 +230,11 @@ def snd_mor_to_db_mor(lm: SoundLogicMorphism,
     """Assemble a database morphism between the interpreted databases.
 
     Tables of ``snd_to_db`` are tuple-keyed, so the key bridge is transported
-    to the forced tuple form (precompose along the bridge, then push values)."""
+    to the forced tuple form (precompose along the bridge, then push values).
+    The key condition and naturality on the tuple images follow from those of
+    the two parts, checked here: pushing values commutes with reindexing."""
     validate_lax_morphism(lm.structure_morphism, l2.structure, l1.structure)
+    validate_spec_morphism(lm.spec_morphism, l2.spec, l1.spec)
     g_push = lm.structure_morphism.td_morphism.map_row
     key_bridge = {}
     for r2 in l2.spec.schema.predicates:
@@ -246,13 +242,11 @@ def snd_mor_to_db_mor(lm: SoundLogicMorphism,
         bridge = lm.structure_morphism.schema_bridge[r2]
         tuples1 = table_image(l1.structure.table_of[r1]).tuples
         key_bridge[r2] = {t1: g_push(tuple_along(bridge, t1)) for t1 in tuples1}
-    dm = DatabaseMorphism(
+    return DatabaseMorphism(
         spec_morphism=lm.spec_morphism,
         td_morphism=lm.structure_morphism.td_morphism,
         key_bridge=key_bridge,
     )
-    validate_db_morphism(dm, snd_to_db(l2), snd_to_db(l1))
-    return dm
 
 
 def db_mor_to_snd_mor(dm: DatabaseMorphism,
@@ -260,8 +254,7 @@ def db_mor_to_snd_mor(dm: DatabaseMorphism,
     """Disassemble: the constraint-free aspect is the structure morphism and
     the schema bridge is the spec morphism; components are reused as-is."""
     validate_db_morphism(dm, db2, db1)
-    lm = SoundLogicMorphism(
+    return SoundLogicMorphism(
         spec_morphism=dm.spec_morphism,
         structure_morphism=_db_mor_to_lax(dm),
     )
-    return lm

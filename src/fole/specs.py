@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import SignatureMorphism, check_signature_morphism, pushed_signature
+from .core import SignatureMorphism, check_signature_morphism
 from .errors import NaturalityViolation, SignatureMismatch, Unsatisfied
 from .formula import Atom, Constraint, Schema
 from .structure import (
     ConstraintVerdict,
     LaxStructure,
+    check_bridge,
     satisfies_constraint,
 )
 from .tables import Relation, TableMorphism
@@ -205,19 +206,8 @@ def validate_spec_morphism(sm: SpecMorphism,
                            t2: AbstractSpec, t1: AbstractSpec) -> None:
     """Check bridge typing and the naturality square on every generator."""
     for r2, sig2 in t2.schema.predicates.items():
-        r1 = sm.predicate_map[r2]
-        bridge = sm.bridge[r2]
-        pushed = pushed_signature(sig2, sm.sort_map)
-        if bridge.source != pushed:
-            raise SignatureMismatch(
-                f"bridge at {r2!r} has source {bridge.source}, expected {pushed}"
-            )
-        if bridge.target != t1.schema.signature_of(r1):
-            raise SignatureMismatch(
-                f"bridge at {r2!r} has target {bridge.target}, expected "
-                f"{t1.schema.signature_of(r1)}"
-            )
-        check_signature_morphism(bridge)
+        check_bridge(r2, sig2, sm.sort_map, sm.bridge[r2], t1.schema,
+                     sm.predicate_map[r2])
     for p2_name, c2 in t2.constraints.items():
         if p2_name not in sm.constraint_map:
             raise NaturalityViolation(p2_name, "constraint not mapped")

@@ -8,10 +8,11 @@ tables (keyed semantics); the two agree through ``table_image``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable, Mapping, Optional
 
 from .core import (
     Row,
+    Signature,
     SignatureMorphism,
     TypeDomain,
     TypeDomainMorphism,
@@ -286,24 +287,32 @@ class LaxStructureMorphism:
         )
 
 
+def check_bridge(r2: str, sig2: Signature, sort_map: Mapping[str, str],
+                 bridge: SignatureMorphism, schema1: Schema, r1: str) -> None:
+    """The bridge condition at ``r2``, shared by structure and spec morphisms:
+    ``bridge`` goes from ``sig2`` pushed along ``sort_map`` to the signature
+    of ``r1`` in ``schema1``, and preserves sorts."""
+    pushed = pushed_signature(sig2, sort_map)
+    if bridge.source != pushed:
+        raise SignatureMismatch(
+            f"bridge at {r2!r} has source {bridge.source}, expected {pushed}"
+        )
+    if bridge.target != schema1.signature_of(r1):
+        raise SignatureMismatch(
+            f"bridge at {r2!r} has target {bridge.target}, expected "
+            f"{schema1.signature_of(r1)}"
+        )
+    check_signature_morphism(bridge)
+
+
 def validate_lax_morphism(lm: LaxStructureMorphism,
                           m2: LaxStructure, m1: LaxStructure) -> None:
-    """Check the key condition at every predicate and source key."""
+    """Check the bridge at every predicate and the key condition at each key."""
     check_type_domain_morphism(lm.td_morphism, m2.type_domain, m1.type_domain)
     for r2, sig2 in m2.schema.predicates.items():
         r1 = lm.predicate_map[r2]
         bridge = lm.schema_bridge[r2]
-        if bridge.source != pushed_signature(sig2, lm.td_morphism.f):
-            raise SignatureMismatch(
-                f"bridge at {r2!r} has source {bridge.source}, expected the "
-                f"pushed signature of {sig2}"
-            )
-        if bridge.target != m1.schema.signature_of(r1):
-            raise SignatureMismatch(
-                f"bridge at {r2!r} has target {bridge.target}, expected "
-                f"{m1.schema.signature_of(r1)}"
-            )
-        check_signature_morphism(bridge)
+        check_bridge(r2, sig2, lm.td_morphism.f, bridge, m1.schema, r1)
         kappa = lm.key_bridge[r2]
         t2 = m2.table_of[r2]
         t1 = m1.table_of[r1]

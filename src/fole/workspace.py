@@ -177,7 +177,12 @@ class Workspace:
 
 def load_workspace(path: str) -> Workspace:
     with open(path, encoding="utf-8") as fh:
-        return load_workspace_data(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            # bytes that are not UTF-8, or nesting too deep to decode
+            raise ShapeError(f"workspace: {exc}") from None
+    return load_workspace_data(raw)
 
 
 def _shaped(value, kind: type, path: str):
@@ -185,7 +190,7 @@ def _shaped(value, kind: type, path: str):
     if not isinstance(value, kind):
         names = {dict: "an object", list: "a list", str: "a string"}
         raise ShapeError(f"{path}: expected {names[kind]}, "
-                         f"got {names.get(type(value), json.dumps(value))}")
+                         f"got {names.get(type(value)) or json.dumps(value)}")
     return value
 
 

@@ -589,6 +589,16 @@ class TestConvert:
         for r in db_img.table_of:
             assert key_equivalent(db_back.table_of[r], db_img.table_of[r])
 
+    def test_db_to_snd_validates_no_table_again(self, tmp_path):
+        """The loader validates the database's tables once; the passage to
+        a sound logic decides satisfaction without validating them again."""
+        key = "tables.Table.validate"
+        loaded = traced(lambda: load_workspace(FIXTURE))[1][key].calls
+        (code, _), stats = traced(lambda: run([
+            "convert", "-w", FIXTURE, "db-to-snd", "DB",
+            "--out", str(tmp_path / "snd.json")]))
+        assert (code, stats[key].calls) == (0, loaded)
+
 
 class TestMigrate:
     def test_dextro_hand_enumerated(self, tmp_path):
@@ -626,8 +636,8 @@ class TestMigrate:
 
 
 class TestMigrateConvertErrors:
-    """A bad argument to migrate or convert ends in exit 2 and one ERROR
-    line, and writes nothing."""
+    """A bad argument to migrate, convert or check spec-sat ends in exit 2
+    and one ERROR line, and writes nothing."""
 
     @pytest.mark.parametrize("argv, line", [
         (["migrate", "-w", FIXTURE, "M.nope", "collapse", "dextro"],
@@ -642,10 +652,16 @@ class TestMigrateConvertErrors:
          "UnresolvedReference: unresolved STRUCTURE:SPEC reference 'nocolon'"),
         (["migrate", "-w", FIXTURE, "N.PairC", "idA", "levo"],
          "UnknownSort: unknown sort 'C'"),
+        (["check", "-w", FIXTURE, "spec-sat", "M"],
+         "UnresolvedReference: unresolved STRUCTURE SPEC reference 'M'"),
+        (["check", "-w", FIXTURE, "spec-sat", "M", "FK", "FK"],
+         "UnresolvedReference: unresolved STRUCTURE SPEC reference 'M FK FK'"),
     ])
     def test_exit_2_with_error_line(self, tmp_path, argv, line):
         out = tmp_path / "out.json"
-        code, text = run(argv + ["--out", str(out)])
+        if argv[0] != "check":  # check takes no --out
+            argv = argv + ["--out", str(out)]
+        code, text = run(argv)
         assert code == 2
         assert text == f"ERROR {line}\n"
         assert not out.exists()
@@ -699,6 +715,18 @@ class TestWorkspaceLoadErrors:
         assert code == 2
         assert text.startswith("ERROR JSONDecodeError: ")
         assert text.count("\n") == 1
+
+    @pytest.mark.parametrize("content, line", [
+        (b"\xff\xfe{}", "ERROR ShapeError: workspace: 'utf-8' codec can't "
+                        "decode byte 0xff in position 0: invalid start byte\n"),
+        (b"[" * 100000 + b"]" * 100000,
+         "ERROR ShapeError: workspace: maximum recursion depth exceeded "
+         "while decoding a JSON array from a unicode string\n"),
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_file(self, tmp_path, content, line):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert run(["check", "-w", str(path), "structure", "M"]) == (2, line)
 
 
 class TestShapeErrorsExit2:

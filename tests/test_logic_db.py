@@ -7,6 +7,7 @@ import pytest
 from fole import (
     AbstractSpec,
     Database,
+    DatabaseMorphism,
     GeneratingConstraint,
     LaxStructure,
     Schema,
@@ -25,14 +26,17 @@ from fole import (
     snd_mor_to_db_mor,
     snd_to_db,
     table_image,
+    tuple_along,
     validate_database,
     validate_db_morphism,
+    validate_lax_morphism,
 )
 from fole.errors import (
     FunctorialityViolation,
     InternalSatisfactionFailure,
     NaturalityViolation,
 )
+from fole.errors import FoleError
 from generators import rand_database, rand_logic_morphism_setup, \
     rand_satisfied_pair, rand_type_domain
 
@@ -209,3 +213,76 @@ class TestMorphismConversions:
                 lm2.structure_morphism.predicate_map
             assert lm3.structure_morphism.key_bridge == \
                 lm2.structure_morphism.key_bridge
+
+
+def rebuilt_and_revalidated(lm, l2, l1) -> DatabaseMorphism:
+    """The assembly checked by rebuilding both databases and validating the
+    database morphism between them: the oracle for ``snd_mor_to_db_mor``."""
+    validate_lax_morphism(lm.structure_morphism, l2.structure, l1.structure)
+    g_push = lm.structure_morphism.td_morphism.map_row
+    key_bridge = {
+        r2: {t1: g_push(tuple_along(lm.structure_morphism.schema_bridge[r2], t1))
+             for t1 in table_image(l1.structure.table_of[r1]).tuples}
+        for r2, r1 in lm.spec_morphism.predicate_map.items()}
+    dm = DatabaseMorphism(lm.spec_morphism,
+                          lm.structure_morphism.td_morphism, key_bridge)
+    validate_db_morphism(dm, snd_to_db(l2), snd_to_db(l1))
+    return dm
+
+
+def break_logic_morphism(lm, rng: random.Random, kind: str) -> bool:
+    """Break ``lm`` in place in one way; False if it has nothing to break.
+    Both parts share their predicate map and bridges, so a broken bridge is
+    broken in both."""
+    sm, kb = lm.spec_morphism, lm.structure_morphism.key_bridge
+    if kind in ("drop", "redirect"):
+        if not sm.constraint_map or (kind == "redirect" and
+                                     len(set(sm.constraint_map.values())) < 2):
+            return False
+        p2 = rng.choice(sorted(sm.constraint_map))
+        if kind == "drop":
+            del sm.constraint_map[p2]
+        else:
+            sm.constraint_map[p2] = rng.choice(sorted(
+                set(sm.constraint_map.values()) - {sm.constraint_map[p2]}))
+    elif kind == "bridge":
+        if len(sm.bridge) < 2:
+            return False
+        r2a, r2b = rng.sample(sorted(sm.bridge), 2)
+        sm.bridge[r2a], sm.bridge[r2b] = sm.bridge[r2b], sm.bridge[r2a]
+    else:  # a key's entry moves to another key, or to another table's key
+        r2, other = (rng.choice(sorted(kb)) for _ in range(2))
+        if not kb[r2] or not kb[other]:
+            return False
+        k1 = rng.choice(sorted(kb[r2]))
+        target = rng.choice(sorted(kb[other]))
+        if (other, target) == (r2, k1):
+            return False
+        if other == r2:
+            kb[r2][target] = kb[r2].pop(k1)
+        else:
+            kb[r2][k1] = kb[other][target]
+    return True
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args).key_bridge
+    except (FoleError, KeyError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind", ["drop", "redirect", "bridge", "key"])
+def test_assembly_on_broken_morphisms_matches_revalidation(kind):
+    """A broken sound-logic morphism fails assembly with the same error as
+    rebuilding and revalidating both databases, and passes exactly when
+    that does."""
+    rng = random.Random(f"broken:{kind}")
+    broken = 0
+    for _ in range(60):
+        lm, l2, l1 = rand_logic_morphism_setup(rng)
+        if break_logic_morphism(lm, rng, kind):
+            broken += 1
+            assert outcome(snd_mor_to_db_mor, lm, l2, l1) == \
+                outcome(rebuilt_and_revalidated, lm, l2, l1)
+    assert broken >= 20
