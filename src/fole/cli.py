@@ -89,15 +89,12 @@ def _loaded(ws: Workspace, what: str, name: str) -> dict:
     """The loader's verdict on ``name``: OK from the first of ``what``'s
     sections that loaded it, FAIL with the diagnostic of one that did not."""
     for section in _CHECKED[what]:
-        for diag in ws.diagnostics:
-            if (diag.section, diag.name) == (SECTIONS[section].key, name):
-                code, _, detail = diag.error.partition(": ")
-                return {"name": name, "ok": False, "code": code, "detail": detail}
-        try:
-            ws.require(section, name)
-        except UnresolvedReference:
-            continue
-        return {"name": name, "ok": True}
+        items = getattr(ws, SECTIONS[section].field)
+        if name in items:
+            return {"name": name, "ok": True}
+        if name in items.failed:
+            code, _, detail = items.failed[name].error.partition(": ")
+            return {"name": name, "ok": False, "code": code, "detail": detail}
     raise UnresolvedReference(what, name)
 
 
@@ -239,27 +236,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=sys.stdout) -> int:
     args = build_parser().parse_args(argv)
+    ws = None
     try:
         ws = load_workspace(args.workspace)
-        if ws.diagnostics and args.command != "check":
-            for diag in ws.diagnostics:
-                _emit(out, f"ITEM {diag.section}/{diag.name}: FAIL {diag.error}")
-            return 2
-        if args.command == "eval":
-            return cmd_eval(ws, args.structure, args.formula,
-                            as_table=args.as_table, as_json=args.json, out=out)
         if args.command == "check":
             return cmd_check(ws, args.what, args.names,
                              as_json=args.json, out=out)
-        if args.command == "convert":
-            return cmd_convert(ws, args.direction, args.name, args.out, out=out)
-        if args.command == "migrate":
+        if not ws.misshapen:  # else every diagnostic is reported below
+            if args.command == "eval":
+                return cmd_eval(ws, args.structure, args.formula,
+                                args.as_table, args.json, out)
+            if args.command == "convert":
+                return cmd_convert(ws, args.direction, args.name, args.out, out)
             return cmd_migrate(ws, args.table, args.morphism, args.direction,
                                args.out, out=out)
     except (FoleError, OSError, json.JSONDecodeError) as exc:
-        _emit(out, f"ERROR {type(exc).__name__}: {exc}")
-        return 2
-    raise SystemExit("unreachable")
+        # a failed item may be the cause: then every diagnostic, below
+        if ws is None or args.command == "check" or not ws.diagnostics:
+            _emit(out, f"ERROR {type(exc).__name__}: {exc}")
+            return 2
+    for diag in ws.diagnostics:
+        _emit(out, f"ITEM {diag.section}/{diag.name}: FAIL {diag.error}")
+    return 2
 
 
 if __name__ == "__main__":

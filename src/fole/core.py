@@ -246,11 +246,12 @@ class TypeDomainMorphism:
             {x: x for x in td.sorts}, {y: y for y in td.values()}
         )
 
-    @property
+    # f and g are built once per morphism: callers must not mutate them
+    @cached_property
     def f(self) -> dict[str, str]:
         return dict(self.sort_map)
 
-    @property
+    @cached_property
     def g(self) -> dict[str, str]:
         return dict(self.value_map)
 

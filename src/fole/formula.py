@@ -287,7 +287,8 @@ def parse_formula(text: str, schema: Schema,
     sig_env = dict(schema.signatures)
     if signatures:
         sig_env.update(signatures)
-    parser = _Parser(_tokenize(text), schema, morphisms or {}, sig_env)
+    parser = _Parser(_tokenize(text), schema,
+                     {} if morphisms is None else morphisms, sig_env)
     phi = parser.formula(0)
     kind, value, pos = parser.peek()
     if kind is not None:

@@ -16,7 +16,6 @@ from .core import (
     SignatureMorphism,
     TypeDomain,
     TypeDomainMorphism,
-    tuple_along,
 )
 from .errors import (
     FunctorialityViolation,
@@ -144,9 +143,9 @@ def _tuple_keyed(spec: AbstractSpec, td: TypeDomain,
               for r in spec.schema.predicates}
     arrows = {}
     for name, c in spec.constraints.items():
-        h = c.morphism
+        rows = tables[c.target_predicate].rows
         arrows[name] = TableMorphism(
-            h, {t: tuple_along(h, t) for t in tables[c.target_predicate].rows})
+            c.morphism, dict(zip(rows, map(c.morphism.project, rows))))
     return Database(spec, td, tables, arrows)
 
 
@@ -241,7 +240,8 @@ def snd_mor_to_db_mor(lm: SoundLogicMorphism,
         r1 = lm.spec_morphism.predicate_map[r2]
         bridge = lm.structure_morphism.schema_bridge[r2]
         tuples1 = table_image(l1.structure.table_of[r1]).tuples
-        key_bridge[r2] = {t1: g_push(tuple_along(bridge, t1)) for t1 in tuples1}
+        key_bridge[r2] = dict(zip(tuples1, map(g_push, map(bridge.project,
+                                                            tuples1))))
     return DatabaseMorphism(
         spec_morphism=lm.spec_morphism,
         td_morphism=lm.structure_morphism.td_morphism,

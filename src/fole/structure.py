@@ -106,6 +106,8 @@ class LaxStructure:
                     f"table for {r!r} over {table.signature}, expected {sig}"
                 )
             table.validate(self.type_domain)
+            for s in sig.sorts:  # an empty table names its sorts too
+                self.type_domain.extent(s)
 
 
 def to_lax(m: StrictStructure) -> LaxStructure:
@@ -238,14 +240,14 @@ def satisfies_constraint(m: LaxStructure, c: Constraint) -> ConstraintVerdict:
     constraint's signature morphism)."""
     c.check(m.schema)  # the one type check of both sides
     h = c.morphism
-    r_target = _interpret(m, c.target)   # over h.target
+    targets = list(_interpret(m, c.target).tuples)   # over h.target
     r_source = _interpret(m, c.source)   # over h.source
-    projected = fiber_flow("exists", h, r_target, m.type_domain)
-    if not projected.tuples <= r_source.tuples:
-        bad = min(t for t in r_target.tuples
-                  if tuple_along(h, t) not in r_source.tuples)
+    projected = list(map(h.project, targets))
+    if not r_source.tuples.issuperset(projected):
+        bad = min(t for t, s in zip(targets, projected)
+                  if s not in r_source.tuples)
         return ConstraintVerdict(c.name, False, violating_tuple=bad)
-    witness = TableMorphism(h, {t: tuple_along(h, t) for t in r_target.tuples})
+    witness = TableMorphism(h, dict(zip(targets, projected)))
     return ConstraintVerdict(c.name, True, witness=witness)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from math import prod
 from typing import Callable, Hashable, Iterable
@@ -51,6 +52,11 @@ class Table:
         sig = self.signature
         members = [frozenset(td.extents.get(s, ())) for s in sig.sorts]
         arity = len(members)
+        # a column at a time; the row loop runs only to name the first bad row
+        with suppress(TypeError):  # an unhashable value, a row with no length
+            if set(map(len, self.rows.values())) <= {arity} and all(
+                    map(frozenset.issuperset, members, zip(*self.rows.values()))):
+                return
         for k, t in self.rows.items():
             try:
                 ok = len(t) == arity and all(
@@ -254,6 +260,11 @@ def check_table_morphism(m: TableMorphism, src: Table, tgt: Table) -> None:
     h = m.sig_morphism
     if src.signature != h.source or tgt.signature != h.target:
         raise SignatureMismatch("table morphism signatures do not line up")
+    # in bulk; the loop below runs only to name the first bad key
+    with suppress(KeyError, IndexError, TypeError):
+        if list(map(h.project, tgt.rows.values())) == list(map(
+                src.rows.__getitem__, map(m.key_map.__getitem__, tgt.rows))):
+            return
     for k in tgt.rows:
         if k not in m.key_map:
             raise NaturalityViolation(k, "key not mapped")

@@ -4,14 +4,15 @@ Top-level keys, in load order (``SECTIONS``): "typeDomains", "schemas",
 "sigMorphisms", "typeDomainMorphisms", "structures", "specs", "databases",
 "specMorphisms", "structureMorphisms", "dbMorphisms".  All sections are
 optional; an item refers by name only to items of earlier sections.  Loading
-validates every item and collects diagnostics instead of aborting on the
-first failure.
+checks the JSON shape of every item; an item is built and validated when
+first looked up.  Failures are collected as diagnostics, not raised.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
@@ -150,23 +151,60 @@ class Diagnostic:
     error: str
 
 
-@dataclass
+class Items(Mapping):
+    """One section's items.  A name's first lookup builds (so validates) and
+    memoises its item from its decoded JSON, which is then dropped; ``failed``
+    holds the diagnostic of each name whose shape or build failed."""
+
+    def __init__(self, ws: "Workspace", section: "Section", raw: dict):
+        self._ws, self._key, self._build = ws, section.key, section.build
+        key, self.shape = section.key, []  # the section's, then its items'
+        found = _shape(self.shape, "workspace", key,
+                       raw.get(key, {}), dict, key) or {}
+        self._pending = {n: d for n, d in found.items() if _shape(
+            self.shape, key, n, d, dict, f"{key}.{n}") is not None}
+        self._names, self._built = tuple(self._pending), {}
+        self.failed = {d.name: d for d in self.shape if d.section == key}
+
+    def __getitem__(self, name):
+        if name in self._pending:
+            try:
+                self._built[name] = self._build(self._ws, name,
+                                                self._pending.pop(name))
+            except _CAUGHT as exc:
+                self.failed[name] = Diagnostic(self._key, name,
+                                               f"{type(exc).__name__}: {exc}")
+        return self._built[name]
+
+    def __iter__(self):
+        return (n for n in self._names if n in self)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def diagnostics(self) -> list[Diagnostic]:
+        """The shape diagnostics, then every item's build, in item order."""
+        return self.shape + [self.failed[n] for n in self._names if n not in self]
+
+
 class Workspace:
-    type_domains: dict[str, TypeDomain] = field(default_factory=dict)
-    schemas: dict[str, Schema] = field(default_factory=dict)
-    sig_morphisms: dict[str, SignatureMorphism] = field(default_factory=dict)
-    type_domain_morphisms: dict[str, tuple[TypeDomainMorphism, str, str]] = \
-        field(default_factory=dict)
-    structures: dict[str, StructureEntry] = field(default_factory=dict)
-    specs: dict[str, AbstractSpec] = field(default_factory=dict)
-    databases: dict[str, Database] = field(default_factory=dict)
-    spec_morphisms: dict[str, tuple[SpecMorphism, str, str]] = \
-        field(default_factory=dict)
-    structure_morphisms: dict[str, tuple[LaxStructureMorphism, str, str]] = \
-        field(default_factory=dict)
-    db_morphisms: dict[str, tuple[DatabaseMorphism, str, str]] = \
-        field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    """One ``Items`` mapping per section, in the field ``SECTIONS`` names:
+    shapes are checked when loading, each item built when first looked up."""
+
+    def __init__(self, raw):
+        self.shape: list[Diagnostic] = []  # the file's own
+        raw = _shape(self.shape, "workspace", "", raw, dict, "workspace") or {}
+        for section in SECTIONS.values():
+            setattr(self, section.field, Items(self, section, raw))
+        self.misshapen = bool(self.shape) or any(
+            getattr(self, s.field).shape for s in SECTIONS.values())
+
+    @property
+    def diagnostics(self) -> list[Diagnostic]:
+        """Every diagnostic, building every item: the file's shape, then each
+        section in load order with its shape, its items' shapes and builds."""
+        return self.shape + [d for section in SECTIONS.values()
+                             for d in getattr(self, section.field).diagnostics()]
 
     def require(self, section: str, name: str):
         items = getattr(self, SECTIONS[section].field)
@@ -185,6 +223,11 @@ def load_workspace(path: str) -> Workspace:
     return load_workspace_data(raw)
 
 
+def load_workspace_data(raw: dict) -> Workspace:
+    """Shapes checked, no item built: each is built on its first lookup."""
+    return Workspace(raw)
+
+
 def _shaped(value, kind: type, path: str):
     """``value`` if it is a ``kind``, else a ``ShapeError`` naming ``path``."""
     if not isinstance(value, kind):
@@ -194,31 +237,15 @@ def _shaped(value, kind: type, path: str):
     return value
 
 
-def load_workspace_data(raw: dict) -> Workspace:
-    """Each section in ``SECTIONS`` order: first the shape of the section and
-    of each item, then each well-shaped item's build."""
-    ws = Workspace()
+_CAUGHT = (FoleError, KeyError, ValueError, TypeError, AttributeError)
 
-    def attempt(section: str, name: str, fn, *args) -> bool:
-        try:
-            fn(*args)
-            return True
-        except (FoleError, KeyError, ValueError, TypeError, AttributeError) as exc:
-            ws.diagnostics.append(Diagnostic(section, name, f"{type(exc).__name__}: {exc}"))
-            return False
 
-    if not attempt("workspace", "", _shaped, raw, dict, "workspace"):
-        raw = {}
-    for section in SECTIONS.values():
-        key, items, found = section.key, getattr(ws, section.field), {}
-        attempt("workspace", key, lambda: found.update(
-            _shaped(raw.get(key, {}), dict, key)))
-        shaped = [(n, d) for n, d in found.items()
-                  if attempt(key, n, _shaped, d, dict, f"{key}.{n}")]
-        for name, data in shaped:
-            attempt(key, name, lambda: items.__setitem__(
-                name, section.build(ws, name, data)))
-    return ws
+def _shape(diagnostics: list, section: str, name: str, *args):
+    """``_shaped(*args)``, or None with its diagnostic added."""
+    try:
+        return _shaped(*args)
+    except _CAUGHT as exc:
+        diagnostics.append(Diagnostic(section, name, f"{type(exc).__name__}: {exc}"))
 
 
 def _type_domain(ws: Workspace, name: str, data) -> TypeDomain:

@@ -14,8 +14,10 @@ from fole import (Relation, SoundLogic, check_signature_morphism,
                   TypeDomain, table_flow_type_domain, validate_database,
                   validate_db_morphism, validate_lax_morphism,
                   validate_spec_morphism)
+from fole import logic_db, tables
 from fole.cli import _ordered_tuples, build_parser, main
-from fole.workspace import key_name, load_workspace_data
+from fole.errors import FoleError, UnresolvedReference
+from fole.workspace import SECTIONS, _shaped, key_name, load_workspace_data
 from generators import rand_relation, rand_signature, rand_type_domain
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "workspace.json")
@@ -428,12 +430,43 @@ class TestCheck:
         validators = ("structure.LaxStructure.validate",
                       "logic_db.validate_database",
                       "core.check_type_domain_morphism")
-        loaded = traced(lambda: load_workspace(FIXTURE))[1]
+        loaded = traced(lambda: load_workspace(FIXTURE).diagnostics)[1]
         for argv in (["structure", "M", "N"], ["database", "DB"],
                      ["morphism", "idM", "idFK", "idDB", "h", "collapse"]):
             stats = traced(lambda: run(["check", "-w", FIXTURE] + argv))[1]
             assert [stats[v].calls for v in validators] == \
                 [loaded[v].calls for v in validators]
+
+    def test_empty_table_over_a_sort_outside_the_domain(self, tmp_path):
+        """A structure or database whose empty table lies over a sort its
+        type domain lacks fails to load, as one with rows does."""
+        raw = json.load(open(FIXTURE))
+        raw["schemas"]["ZS"] = {"sorts": ["S", "Z"],
+                                "predicates": {"Zed": [["z", "Z"]]}}
+        raw["specs"]["ZSpec"] = {"schema": "ZS"}
+        zed = {"typeDomain": "A", "tables": {"Zed": {"rows": {}}}}
+        raw["structures"]["Zs"] = dict(zed, schema="ZS")
+        raw["databases"]["Zdb"] = dict(zed, schema="ZSpec")
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        fail = "FAIL UnknownSort unknown sort 'Z'"
+        assert run(["check", "-w", str(path), "structure", "Zs", "M"]) == \
+            (1, f"ITEM Zs: {fail}\nITEM M: OK\n")
+        assert run(["check", "-w", str(path), "database", "Zdb"]) == \
+            (1, f"ITEM Zdb: {fail}\n")
+        assert run(["eval", "-w", str(path), "-s", "Zs", "~Zed"]) == (2, (
+            "ITEM structures/Zs: FAIL UnknownSort: unknown sort 'Z'\n"
+            "ITEM databases/Zdb: FAIL UnknownSort: unknown sort 'Z'\n"))
+
+    def test_type_domain_morphism_maps_built_once(self):
+        ws = load_workspace(FIXTURE)
+        for name in ("collapse", "idA"):
+            m = ws.type_domain_morphisms[name][0]
+            assert m.f is m.f and m.g is m.g
+        assert run(["check", "-w", FIXTURE, "morphism", "idM", "idFK", "idDB",
+                    "h", "p0", "collapse", "idA"]) == (0, "".join(
+            f"ITEM {n}: OK\n"
+            for n in ("idM", "idFK", "idDB", "h", "p0", "collapse", "idA")))
 
     def test_json_report(self):
         code, text = run(["check", "-w", FIXTURE, "spec-sat", "M", "Broken",
@@ -547,6 +580,132 @@ class TestCheckReportsTheLoader:
         assert verdicts == {True, False}
 
 
+def eager_diagnostics(raw) -> list:
+    """The oracle for the loader's diagnostics: every item built at once, in
+    load order.  The file's shape comes first, then each section with its
+    shape, its items' shapes and each item's build, which sees only the
+    items built before it."""
+    built = {section: {} for section in SECTIONS}
+    diagnostics = []
+
+    class Eager:
+        def require(self, section, name):
+            if name not in built[section]:
+                raise UnresolvedReference(section, name)
+            return built[section][name]
+
+    def attempt(section, name, fn, *args):
+        try:
+            return fn(*args)
+        except (FoleError, KeyError, ValueError, TypeError,
+                AttributeError) as exc:
+            diagnostics.append((section, name, f"{type(exc).__name__}: {exc}"))
+
+    raw = attempt("workspace", "", _shaped, raw, dict, "workspace") or {}
+    for s in SECTIONS.values():
+        found = attempt("workspace", s.key, _shaped, raw.get(s.key, {}),
+                        dict, s.key) or {}
+        for name, data in [(n, d) for n, d in found.items() if attempt(
+                s.key, n, _shaped, d, dict, f"{s.key}.{n}") is not None]:
+            item = attempt(s.key, name, s.build, Eager(), name, data)
+            if item is not None:
+                built[s.name][name] = item
+    return diagnostics
+
+
+def zed_fixture(tmp_path) -> str:
+    """The fixture with a predicate Zed added to schema Company and a table
+    for it in M: DB, idFK, idM and idDB no longer load; M and FK do."""
+    raw = json.load(open(FIXTURE))
+    raw["schemas"]["Company"]["predicates"]["Zed"] = [["z", "S"]]
+    raw["structures"]["M"]["tables"]["Zed"] = {"rows": {"z1": ["ann"]}}
+    path = tmp_path / "zed.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestOnDemand:
+    """A command builds and validates only the items it names and what they
+    reference; the diagnostics are those of building everything at once."""
+
+    def count_validators(self, monkeypatch) -> dict:
+        counts = {"Table.validate": 0, "validate_database": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(tables.Table, "validate", counting(
+            "Table.validate", tables.Table.validate))
+        monkeypatch.setattr(logic_db, "validate_database", counting(
+            "validate_database", logic_db.validate_database))
+        return counts
+
+    def test_check_structure_validates_only_it(self, monkeypatch):
+        counts = self.count_validators(monkeypatch)
+        assert run(["check", "-w", FIXTURE, "structure", "M"]) == \
+            (0, "ITEM M: OK\n")
+        assert counts == {"Table.validate": 3, "validate_database": 0}
+
+    def test_loading_builds_nothing_until_looked_up(self, monkeypatch):
+        counts = self.count_validators(monkeypatch)
+        ws = load_workspace(FIXTURE)
+        assert counts == {"Table.validate": 0, "validate_database": 0}
+        assert not ws.diagnostics
+        assert counts == {"Table.validate": 3 + 1 + 3, "validate_database": 1}
+        ws.databases["DB"]  # memoised
+        assert counts["validate_database"] == 1
+
+    def test_unreferenced_failure_does_not_stop_a_command(self, tmp_path):
+        zed = zed_fixture(tmp_path)
+        out = str(tmp_path / "out.json")
+        assert run(["eval", "-w", zed, "-s", "M", "Emp"]) == \
+            run(["eval", "-w", FIXTURE, "-s", "M", "Emp"])
+        assert run(["convert", "-w", zed, "snd-to-db", "M:FK", "--out", out]) \
+            == (0, f"WROTE {out}\n")
+        assert run(["migrate", "-w", zed, "M.Emp", "collapse", "levo",
+                    "--out", out]) == (0, f"WROTE {out}\n")
+        assert run(["check", "-w", zed, "database", "DB"]) == (1, (
+            "ITEM DB: FAIL SignatureMismatch no table for predicate 'Zed'\n"))
+
+    def test_referenced_failure_reports_every_diagnostic(self, tmp_path):
+        zed = zed_fixture(tmp_path)
+        lines = "".join(f"ITEM {d.section}/{d.name}: FAIL {d.error}\n"
+                        for d in load_workspace(zed).diagnostics)
+        assert [line.split(":")[0] for line in lines.splitlines()] == [
+            "ITEM databases/DB", "ITEM specMorphisms/idFK",
+            "ITEM structureMorphisms/idM", "ITEM dbMorphisms/idDB"]
+        assert run(["convert", "-w", zed, "db-image", "DB",
+                    "--out", str(tmp_path / "out.json")]) == (2, lines)
+
+    def test_eval_builds_only_the_morphisms_it_names(self, tmp_path):
+        raw = json.load(open(FIXTURE))
+        raw["sigMorphisms"]["p0"]["map"] = {"0": "nope"}
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        assert run(["eval", "-w", str(path), "-s", "M", "exists[h] Emp"]) == \
+            run(["eval", "-w", FIXTURE, "-s", "M", "exists[h] Emp"])
+        code, text = run(["eval", "-w", str(path), "-s", "N", "exists[p0] PairC"])
+        assert (code, text.split(":")[0]) == (2, "ITEM sigMorphisms/p0")
+
+    @pytest.mark.parametrize("kind", ["row", "keyMap", "keyBridge", "sigAttr",
+                                      "valueMap", "reference"])
+    def test_diagnostics_match_an_eager_load(self, kind):
+        for seed in range(8):
+            raw = json.load(open(FIXTURE))
+            break_fixture(raw, random.Random(seed), kind)
+            expected = eager_diagnostics(raw)
+            assert expected == [(d.section, d.name, d.error)
+                                for d in load_workspace_data(raw).diagnostics]
+            # building the last sections first does not change them
+            ws = load_workspace_data(raw)
+            for section in reversed(SECTIONS.values()):
+                list(getattr(ws, section.field))
+            assert expected == [(d.section, d.name, d.error)
+                                for d in ws.diagnostics]
+
+
 class TestConvert:
     def test_snd_to_db_revalidates(self, tmp_path):
         out = tmp_path / "db.json"
@@ -593,7 +752,7 @@ class TestConvert:
         """The loader validates the database's tables once; the passage to
         a sound logic decides satisfaction without validating them again."""
         key = "tables.Table.validate"
-        loaded = traced(lambda: load_workspace(FIXTURE))[1][key].calls
+        loaded = traced(lambda: load_workspace(FIXTURE).diagnostics)[1][key].calls
         (code, _), stats = traced(lambda: run([
             "convert", "-w", FIXTURE, "db-to-snd", "DB",
             "--out", str(tmp_path / "snd.json")]))
@@ -627,7 +786,7 @@ class TestMigrate:
         """The loader checks each type-domain morphism once; neither flow
         checks it again."""
         key = "core.check_type_domain_morphism"
-        loaded = traced(lambda: load_workspace(FIXTURE))[1][key].calls
+        loaded = traced(lambda: load_workspace(FIXTURE).diagnostics)[1][key].calls
         for table, direction in (("M.Emp", "levo"), ("N.PairC", "dextro")):
             (code, _), stats = traced(lambda: run([
                 "migrate", "-w", FIXTURE, table, "collapse", direction,

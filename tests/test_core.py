@@ -147,6 +147,11 @@ class TestTypeDomainMorphism:
         with pytest.raises(InfomorphismViolation):
             check_type_domain_morphism(m, a2, a1)
 
+    def test_maps_built_once(self):
+        m = TypeDomainMorphism.of({"S2": "S1"}, {"1": "a", "2": "a"})
+        assert m.f is m.f and m.g is m.g
+        assert (m.f, m.g) == ({"S2": "S1"}, {"1": "a", "2": "a"})
+
     def test_partial_sort_map_rejected(self):
         a2 = TypeDomain(("S2",), {"S2": ("a",)})
         a1 = TypeDomain(("S1",), {"S1": ()})

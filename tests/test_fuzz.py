@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fole.cli import main
 from fole.workspace import load_workspace_data
+from test_cli import eager_diagnostics
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "workspace.json")
 with open(FIXTURE, encoding="utf-8") as _fh:
@@ -88,7 +89,10 @@ def test_main_never_raises(tmp_path_factory, mutation_list, command, edit,
     raw = json.loads(json.dumps(RAW))
     for path, kind, value, name in mutation_list:
         mutate(raw, path, kind, value, name)
-    load_workspace_data(raw)  # records diagnostics, never raises
+    # records diagnostics, never raises, and builds items as an eager load
+    diagnostics = load_workspace_data(raw).diagnostics
+    assert [(d.section, d.name, d.error) for d in diagnostics] == \
+        eager_diagnostics(raw)
     tmp = tmp_path_factory.mktemp("fuzz")
     ws_path = tmp / "ws.json"
     ws_path.write_text(json.dumps(raw), encoding="utf-8")
@@ -101,8 +105,13 @@ def test_main_never_raises(tmp_path_factory, mutation_list, command, edit,
     action, i = edit
     if action != "keep" and i < len(argv):
         argv[i:i + 1] = [] if action == "drop" else [argv[i]] * 2
+    out = io.StringIO()
     try:
-        code = main(argv, out=io.StringIO())
+        code = main(argv, out=out)
     except SystemExit as exc:  # argparse's own exit on argv it rejects
         code = exc.code
     assert code in (0, 1, 2)
+    if code == 2 and out.getvalue().startswith("ITEM "):
+        # a failed command reports every diagnostic, in load order
+        assert out.getvalue() == "".join(
+            f"ITEM {d.section}/{d.name}: FAIL {d.error}\n" for d in diagnostics)

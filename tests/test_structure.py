@@ -47,6 +47,7 @@ from fole.errors import (
     FiberMismatch,
     FlowMismatch,
     KeyBridgeViolation,
+    UnknownSort,
 )
 from generators import (
     rand_formula,
@@ -103,6 +104,21 @@ class TestStrict:
         assert lax.table_of["Dept"].rows == {}
         # unclassified key u appears nowhere
         assert all("u" not in t.rows for t in lax.table_of.values())
+
+
+class TestLaxValidate:
+    def test_empty_table_over_a_sort_outside_the_domain(self):
+        """An empty table has no row that reaches its sorts, so validation
+        looks each predicate's sorts up in the type domain itself."""
+        zed = Signature.of([("z", "Z")])
+        m = LaxStructure(Schema(sorts=("S", "Z"), predicates={"Zed": zed}),
+                         TD, {"Zed": Table(zed, {})})
+        with pytest.raises(UnknownSort, match="unknown sort 'Z'"):
+            m.validate()
+
+    def test_empty_tables_over_known_sorts_pass(self):
+        LaxStructure(SCHEMA, TD, {r: Table(sig, {}) for r, sig
+                                  in SCHEMA.predicates.items()}).validate()
 
 
 class TestInterpretation:

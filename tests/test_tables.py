@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from fole import (
     Relation,
@@ -26,6 +28,7 @@ from fole import (
     table_substitution,
     tuple_along,
 )
+from fole.core import is_well_sorted
 from fole.errors import NaturalityViolation, SignatureMismatch, UnknownSort
 
 from generators import (
@@ -90,6 +93,163 @@ class TestTableValidate:
             Table(sig, {"k1": ("c", "z"), "k2": ("a", "z")}).validate(AB)
         with pytest.raises(UnknownSort):
             Table(sig, {"k1": ("a", "z")}).validate(AB)
+
+
+def validate_by_rows(table: Table, td: TypeDomain) -> None:
+    """The oracle: ``Table.validate`` as a row loop alone."""
+    sig = table.signature
+    members = [frozenset(td.extents.get(s, ())) for s in sig.sorts]
+    for k, t in table.rows.items():
+        try:
+            ok = len(t) == len(members) and all(
+                map(frozenset.__contains__, members, t))
+        except TypeError:
+            ok = False
+        if not ok:
+            is_well_sorted(t, sig, td)
+            raise SignatureMismatch(
+                f"row {k!r} = {t!r} is not well-sorted over {sig}")
+
+
+def check_by_rows(m: TableMorphism, src: Table, tgt: Table) -> None:
+    """The oracle: ``check_table_morphism`` as a loop over target keys."""
+    h = m.sig_morphism
+    for k in tgt.rows:
+        if k not in m.key_map:
+            raise NaturalityViolation(k, "key not mapped")
+        k_src = m.key_map[k]
+        if k_src not in src.rows:
+            raise NaturalityViolation(k, f"mapped key {k_src!r} missing in source")
+        if src.rows[k_src] != tuple_along(h, tgt.rows[k]):
+            raise NaturalityViolation(k)
+
+
+def outcome(fn, *args):
+    """None if ``fn(*args)`` returns, else its exception's class and text."""
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the verdict
+        return type(exc), str(exc)
+    return None
+
+
+# Z lies outside the oracle domain; "zz" and ["a"] lie in no extent
+ORACLE_TD = TypeDomain(("S", "T"), {"S": ("a", "b", "c"), "T": ("b", "d")})
+STRAY = ["a", "b", "d", "zz", ["a"]]
+SIZES = st.sampled_from([0, 1, 2, 7, 40, 600])
+
+
+def planted(draw, rng: random.Random, rows: dict, kinds) -> None:
+    """Plant up to three defects of ``kinds`` at rows hypothesis draws."""
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        if not rows:
+            return
+        k = sorted(rows)[draw(st.integers(0, len(rows) - 1))]
+        row = list(rows[k])
+        if kind == "short":
+            row = row[:-1]
+        elif kind == "long":
+            row.append("a")
+        elif row:
+            row[rng.randrange(len(row))] = rng.choice(STRAY)
+        rows[k] = tuple(row)
+
+
+@st.composite
+def oracle_tables(draw) -> Table:
+    """A table over up to three sorts (zero-arity and unknown sorts too),
+    well-sorted but for planted bad values, unhashable values and rows of
+    the wrong length."""
+    sorts = draw(st.lists(st.sampled_from(["S", "T", "Z"]), max_size=3))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    rows = {f"k{i}": tuple(rng.choice(ORACLE_TD.extents.get(s, ("z",)))
+                           for s in sorts) for i in range(draw(SIZES))}
+    planted(draw, rng, rows, ["value", "short", "long"])
+    return Table(Signature(tuple(map(str, range(len(sorts)))), tuple(sorts)),
+                 rows)
+
+
+@st.composite
+def oracle_morphisms(draw):
+    """A table morphism with its source and target tables: a projection
+    that may merge or drop attributes, a key map that may send several
+    keys to one, and planted faults in the key map and the tables."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    tgt_sig = Signature.of((str(i), "S") for i in range(draw(st.integers(0, 3))))
+    n_src = draw(st.integers(0, 3)) if len(tgt_sig) else 0
+    src_sig = Signature.of((f"s{i}", "S") for i in range(n_src))
+    h = SignatureMorphism.of(src_sig, tgt_sig, {
+        a: rng.choice(tgt_sig.attrs) for a in src_sig.attrs})
+    tgt = {f"t{i}": tuple(rng.choice("abc") for _ in tgt_sig.attrs)
+           for i in range(draw(SIZES))}
+    # keyed by the projection, so equal projections share one source key
+    key_map = {k: "s" + "".join(h.project(t)) for k, t in tgt.items()}
+    src = {key_map[k]: h.project(t) for k, t in tgt.items()}
+    planted(draw, rng, tgt, ["value", "short"])
+    planted(draw, rng, src, ["value"])
+    for fault in draw(st.lists(st.sampled_from(
+            ["unmapped", "missing", "unhashable"]), max_size=2)):
+        if key_map:
+            k = sorted(key_map)[draw(st.integers(0, len(key_map) - 1))]
+            if fault == "unmapped":
+                del key_map[k]
+            else:
+                key_map[k] = "nowhere" if fault == "missing" else ["s"]
+    return (TableMorphism(h, key_map), Table(src_sig, src),
+            Table(tgt_sig, tgt))
+
+
+class TestFastPathsAgainstRowLoops:
+    """The column-wise ``Table.validate`` and the bulk
+    ``check_table_morphism`` give the row loops' verdict: the same
+    exception class and message, or none."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(oracle_tables())
+    def test_validate(self, table):
+        assert outcome(table.validate, ORACLE_TD) == \
+            outcome(validate_by_rows, table, ORACLE_TD)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(oracle_morphisms())
+    def test_check_table_morphism(self, case):
+        assert outcome(check_table_morphism, *case) == \
+            outcome(check_by_rows, *case)
+
+    @pytest.mark.parametrize("wanted", [
+        "pass", "pass 500", "SignatureMismatch", "SignatureMismatch 500",
+        "SignatureMismatch unhashable", "UnknownSort", "UnknownSort 500"])
+    def test_tables_reach(self, wanted):
+        verdict, _, extra = wanted.partition(" ")
+
+        def reached(table):
+            found = outcome(validate_by_rows, table, ORACLE_TD)
+            if (found[0].__name__ if found else "pass") != verdict:
+                return False
+            if extra == "unhashable":
+                return any(isinstance(v, list)
+                           for t in table.rows.values() for v in t)
+            return not extra or len(table.rows) >= int(extra)
+        find(oracle_tables(), reached, settings=REACH)
+
+    @pytest.mark.parametrize("wanted", [
+        "pass", "key not mapped", "missing in source", "naturality fails at",
+        "IndexError", "TypeError", "pass 500", "naturality fails at 500"])
+    def test_morphisms_reach(self, wanted):
+        verdict, _, size = wanted.partition(" 500")
+
+        def reached(case):
+            found = outcome(check_by_rows, *case)
+            text = "pass" if found is None else \
+                found[0].__name__ + ": " + found[1]
+            return verdict in text and (not size or len(case[2].rows) >= 500)
+        find(oracle_morphisms(), reached, settings=REACH)
+
+
+# hypothesis.find settings for the reach tests: deterministic, no database,
+# the first example found is enough
+REACH = settings(max_examples=2000, deadline=None, derandomize=True,
+                 database=None, phases=[Phase.generate])
 
 
 class TestFiberBoolean:
