@@ -19,7 +19,8 @@ from .logic_db import Database, SoundLogic, db_image, db_to_snd, snd_to_db
 from .specs import satisfies_spec
 from .structure import interpret_relation, interpret_table
 from .tables import table_flow_type_domain, table_image
-from .workspace import SECTIONS, Workspace, dump_json, key_names, load_workspace
+from .workspace import (BUILD_ERRORS, SECTIONS, Workspace, dump_json,
+                        key_names, load_workspace)
 
 
 def _emit(out, text: str):
@@ -39,7 +40,7 @@ def _ordered_tuples(rel, td):
 def cmd_eval(ws: Workspace, structure: str, formula_text: str,
              as_table: bool = False, as_json: bool = False,
              out=sys.stdout) -> int:
-    m = ws.require("structure", structure).lax
+    m = ws.structure(structure)  # only the tables phi names are built
     phi = parse_formula(formula_text, m.schema, ws.sig_morphisms)
     if as_table:
         table = interpret_table(m, phi)
@@ -176,7 +177,7 @@ def cmd_migrate(ws: Workspace, table_name: str, morphism_name: str,
     struct_name, dot, predicate = table_name.partition(".")
     if not dot:
         raise UnresolvedReference("STRUCTURE.PREDICATE", table_name)
-    tables = ws.require("structure", struct_name).lax.table_of
+    tables = ws.structure(struct_name).table_of  # one table is built
     if predicate not in tables:
         raise UnresolvedReference("predicate", predicate)
     m, a2_name, a1_name = ws.require("typeDomainMorphism", morphism_name)
@@ -255,6 +256,11 @@ def main(argv=None, out=sys.stdout) -> int:
         if ws is None or args.command == "check" or not ws.diagnostics:
             _emit(out, f"ERROR {type(exc).__name__}: {exc}")
             return 2
+    except BUILD_ERRORS:
+        # a table that eval or migrate reads fails to build: its structure's
+        # diagnostic, below, says why
+        if ws is None or args.command == "check" or not ws.diagnostics:
+            raise
     for diag in ws.diagnostics:
         _emit(out, f"ITEM {diag.section}/{diag.name}: FAIL {diag.error}")
     return 2

@@ -7,8 +7,9 @@ tables (keyed semantics); the two agree through ``table_image``.
 
 from __future__ import annotations
 
+from collections.abc import Container, Mapping
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Optional
+from typing import Any, Callable, Hashable, Optional
 
 from .core import (
     Row,
@@ -88,36 +89,80 @@ def validate_strict(m: StrictStructure) -> None:
             raise DefiningConditionViolation(k, r)
 
 
+def check_has_table(r: str, tables: Container[str]) -> None:
+    """Predicate ``r`` names a table in ``tables``."""
+    if r not in tables:
+        raise SignatureMismatch(f"no table for predicate {r!r}")
+
+
+def check_table(r: str, table: Table, schema: Schema, td: TypeDomain) -> Table:
+    """The check of predicate ``r``'s table in a structure over ``schema`` and
+    ``td``: it lies over ``r``'s signature, its rows are well-sorted, and its
+    sorts lie in ``td`` (an empty table names them too).  Returns ``table``."""
+    sig = schema.signature_of(r)
+    if table.signature != sig:
+        raise SignatureMismatch(
+            f"table for {r!r} over {table.signature}, expected {sig}"
+        )
+    table.validate(td)
+    for s in sig.sorts:
+        td.extent(s)
+    return table
+
+
+class TableFamily(Mapping):
+    """A structure's tables by predicate, read-only: a table is made by
+    ``build(r, data[r])`` and passes ``check_table`` on its first lookup, and
+    is then memoised.  Membership, iteration and ``len`` build no table."""
+
+    def __init__(self, schema: Schema, type_domain: TypeDomain,
+                 data: Mapping[str, Any], build: Callable[[str, Any], Table]):
+        self._schema, self._td, self._build = schema, type_domain, build
+        self._names, self._pending, self._built = tuple(data), dict(data), {}
+
+    def __getitem__(self, r: str) -> Table:
+        if r in self._pending:
+            self._built[r] = check_table(r, self._build(r, self._pending[r]),
+                                         self._schema, self._td)
+            del self._pending[r]
+        return self._built[r]
+
+    def __contains__(self, r) -> bool:
+        return r in self._built or r in self._pending
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
 @dataclass
 class LaxStructure:
     """Per-predicate tables over one type domain."""
 
     schema: Schema
     type_domain: TypeDomain
-    table_of: dict[str, Table]
+    table_of: Mapping[str, Table]
 
     def validate(self) -> None:
-        for r, sig in self.schema.predicates.items():
-            table = self.table_of.get(r)
-            if table is None:
-                raise SignatureMismatch(f"no table for predicate {r!r}")
-            if table.signature != sig:
-                raise SignatureMismatch(
-                    f"table for {r!r} over {table.signature}, expected {sig}"
-                )
-            table.validate(self.type_domain)
-            for s in sig.sorts:  # an empty table names its sorts too
-                self.type_domain.extent(s)
+        """The full check, predicate by predicate in schema order: it has a
+        table, which passes ``check_table`` (a ``TableFamily`` runs that on
+        the table's first lookup)."""
+        for r in self.schema.predicates:
+            check_has_table(r, self.table_of)
+            table = self.table_of[r]
+            if not isinstance(self.table_of, TableFamily):
+                check_table(r, table, self.schema, self.type_domain)
 
 
 def to_lax(m: StrictStructure) -> LaxStructure:
-    """Forget the global key set; keep one table per predicate."""
+    """Forget the global key set; keep one table per predicate, each checked
+    by ``check_table`` when first read."""
     validate_strict(m)
-    tables = {
-        r: Table(sig, {k: m.tuple_of_key[k] for k in m.extent(r)})
-        for r, sig in m.schema.predicates.items()
-    }
-    return LaxStructure(m.schema, m.type_domain, tables)
+    return LaxStructure(m.schema, m.type_domain, TableFamily(
+        m.schema, m.type_domain, m.schema.predicates,
+        lambda r, sig: Table(sig, {k: m.tuple_of_key[k] for k in m.extent(r)})))
 
 
 # ----------------------------------------------------------- interpretation

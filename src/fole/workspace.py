@@ -5,7 +5,9 @@ Top-level keys, in load order (``SECTIONS``): "typeDomains", "schemas",
 "specMorphisms", "structureMorphisms", "dbMorphisms".  All sections are
 optional; an item refers by name only to items of earlier sections.  Loading
 checks the JSON shape of every item; an item is built and validated when
-first looked up.  Failures are collected as diagnostics, not raised.
+first looked up, but for a structure read through ``Workspace.structure``,
+whose tables are each built and checked when first read.  Failures are
+collected as diagnostics, not raised.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from .structure import (
     LaxStructureMorphism,
     StrictStructure,
     StrictStructureMorphism,
+    TableFamily,
+    check_has_table,
     strict_morphism_to_lax,
     to_lax,
     validate_lax_morphism,
@@ -152,29 +156,48 @@ class Diagnostic:
 
 
 class Items(Mapping):
-    """One section's items.  A name's first lookup builds (so validates) and
-    memoises its item from its decoded JSON, which is then dropped; ``failed``
-    holds the diagnostic of each name whose shape or build failed."""
+    """One section's items.  A name's first lookup builds and validates its
+    item from its decoded JSON, which is then dropped: the section's
+    ``build``, then its ``check``.  The item is memoised; ``failed`` holds the
+    diagnostic of each name whose shape, build or check failed."""
 
     def __init__(self, ws: "Workspace", section: "Section", raw: dict):
-        self._ws, self._key, self._build = ws, section.key, section.build
+        self._ws, self._section = ws, section
         key, self.shape = section.key, []  # the section's, then its items'
         found = _shape(self.shape, "workspace", key,
                        raw.get(key, {}), dict, key) or {}
         self._pending = {n: d for n, d in found.items() if _shape(
             self.shape, key, n, d, dict, f"{key}.{n}") is not None}
         self._names, self._built = tuple(self._pending), {}
+        self._unchecked = set()  # built, its section's ``check`` not yet run
         self.failed = {d.name: d for d in self.shape if d.section == key}
 
-    def __getitem__(self, name):
+    def built(self, name):
+        """The item once built, whether or not the section's ``check`` has
+        run: a structure whose tables are checked as they are read."""
         if name in self._pending:
             try:
-                self._built[name] = self._build(self._ws, name,
-                                                self._pending.pop(name))
-            except _CAUGHT as exc:
-                self.failed[name] = Diagnostic(self._key, name,
-                                               f"{type(exc).__name__}: {exc}")
+                self._built[name] = self._section.build(
+                    self._ws, name, self._pending.pop(name))
+                self._unchecked.add(name)
+            except BUILD_ERRORS as exc:
+                self._fail(name, exc)
         return self._built[name]
+
+    def __getitem__(self, name):
+        item = self.built(name)
+        if name in self._unchecked:
+            self._unchecked.discard(name)
+            try:
+                self._section.check(item)
+            except BUILD_ERRORS as exc:
+                del self._built[name]
+                self._fail(name, exc)
+        return self._built[name]
+
+    def _fail(self, name: str, exc: Exception) -> None:
+        self.failed[name] = Diagnostic(self._section.key, name,
+                                       f"{type(exc).__name__}: {exc}")
 
     def __iter__(self):
         return (n for n in self._names if n in self)
@@ -207,10 +230,19 @@ class Workspace:
                              for d in getattr(self, section.field).diagnostics()]
 
     def require(self, section: str, name: str):
+        """The validated item ``name`` of ``section``."""
         items = getattr(self, SECTIONS[section].field)
         if name not in items:
             raise UnresolvedReference(section, name)
         return items[name]
+
+    def structure(self, name: str) -> LaxStructure:
+        """Structure ``name`` in lax form, each table built and checked when
+        first read; ``require`` checks every table before it returns."""
+        try:
+            return self.structures.built(name).lax
+        except KeyError:
+            raise UnresolvedReference("structure", name) from None
 
 
 def load_workspace(path: str) -> Workspace:
@@ -237,14 +269,15 @@ def _shaped(value, kind: type, path: str):
     return value
 
 
-_CAUGHT = (FoleError, KeyError, ValueError, TypeError, AttributeError)
+# What building an item raises on bad data: each becomes a diagnostic.
+BUILD_ERRORS = (FoleError, KeyError, ValueError, TypeError, AttributeError)
 
 
 def _shape(diagnostics: list, section: str, name: str, *args):
     """``_shaped(*args)``, or None with its diagnostic added."""
     try:
         return _shaped(*args)
-    except _CAUGHT as exc:
+    except BUILD_ERRORS as exc:
         diagnostics.append(Diagnostic(section, name, f"{type(exc).__name__}: {exc}"))
 
 
@@ -286,10 +319,17 @@ def _structure(ws: Workspace, name: str, data) -> StructureEntry:
             classifies=frozenset((k, r) for k, r in data["classifies"]),
             tuple_of_key={k: tuple(v) for k, v in data["tuples"].items()})
         return StructureEntry(to_lax(strict), strict)
-    lax = LaxStructure(schema, td, {r: _table(tdata, schema.signature_of(r))
-                                    for r, tdata in data["tables"].items()})
-    lax.validate()
-    return StructureEntry(lax)
+    path = f"structures.{name}.tables"
+    tables = _shaped(data["tables"], dict, path)
+    for r, tdata in tables.items():
+        schema.signature_of(r)  # a table of no predicate fails here
+        rows = _shaped(tdata, dict, f"{path}.{r}")["rows"]
+        _shaped(rows, dict, f"{path}.{r}.rows")
+    for r in schema.predicates:
+        check_has_table(r, tables)
+    return StructureEntry(LaxStructure(schema, td, TableFamily(
+        schema, td, tables,
+        lambda r, tdata: _table(tdata, schema.signature_of(r)))))
 
 
 def _spec(ws: Workspace, name: str, data) -> AbstractSpec:
@@ -366,7 +406,8 @@ class Section(NamedTuple):
     name: str  # as ``Workspace.require`` names it
     key: str  # the top-level JSON key
     field: str  # the ``Workspace`` field holding its items
-    build: Callable  # (ws, name, data) -> the validated item
+    build: Callable  # (ws, name, data) -> the item, validated but for ``check``
+    check: Callable = lambda item: None  # item -> None: what ``build`` defers
 
 
 # Every section, in load order: an item refers only to earlier sections.
@@ -376,7 +417,8 @@ SECTIONS = {s.name: s for s in (
     Section("sigMorphism", "sigMorphisms", "sig_morphisms", _sig_morphism),
     Section("typeDomainMorphism", "typeDomainMorphisms",
             "type_domain_morphisms", _td_morphism),
-    Section("structure", "structures", "structures", _structure),
+    Section("structure", "structures", "structures", _structure,
+            lambda entry: entry.lax.validate()),
     Section("spec", "specs", "specs", _spec),
     Section("database", "databases", "databases", _database),
     Section("specMorphism", "specMorphisms", "spec_morphisms", _spec_morphism),

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from fole import (Relation, SoundLogic, check_signature_morphism,
+from fole import (Relation, Schema, Signature, SignatureMorphism, SoundLogic,
+                  check_signature_morphism, interpret_by_oracle, parse_formula,
                   check_type_domain_morphism, db_image, db_to_snd,
                   enumerate_tuples, key_equivalent, load_workspace, snd_to_db,
                   TypeDomain, table_flow_type_domain, validate_database,
@@ -18,7 +19,8 @@ from fole import logic_db, tables
 from fole.cli import _ordered_tuples, build_parser, main
 from fole.errors import FoleError, UnresolvedReference
 from fole.workspace import SECTIONS, _shaped, key_name, load_workspace_data
-from generators import rand_relation, rand_signature, rand_type_domain
+from generators import (rand_lax_structure, rand_relation, rand_signature,
+                        rand_type_domain)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "workspace.json")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -90,6 +92,25 @@ class TestLoadWorkspace:
         ws = load_workspace_data(raw)
         assert [(d.section, d.name, d.error) for d in ws.diagnostics] == \
             [diagnostic[:2] + ("ShapeError: " + diagnostic[2],)]
+
+    @pytest.mark.parametrize("path, value, error", [
+        ((), "x", "structures.N.tables: expected an object, got a string"),
+        (("PairC",), [], "structures.N.tables.PairC: expected an object, "
+                         "got a list"),
+        (("PairC", "rows"), 3, "structures.N.tables.PairC.rows: expected an "
+                               "object, got 3"),
+    ])
+    def test_structure_table_shape_errors_name_json_path(self, path, value,
+                                                          error):
+        raw = json.load(open(FIXTURE))
+        *steps, last = ("tables",) + path
+        parent = raw["structures"]["N"]
+        for step in steps:
+            parent = parent[step]
+        parent[last] = value
+        assert [(d.section, d.name, d.error)
+                for d in load_workspace_data(raw).diagnostics] == \
+            [("structures", "N", "ShapeError: " + error)]
 
     def test_nested_shape_error_is_a_diagnostic(self):
         ws = load_workspace_data({"schemas": {"Sch": {"sorts": ["S"],
@@ -458,6 +479,21 @@ class TestCheck:
             "ITEM structures/Zs: FAIL UnknownSort: unknown sort 'Z'\n"
             "ITEM databases/Zdb: FAIL UnknownSort: unknown sort 'Z'\n"))
 
+    def test_strict_empty_table_over_a_sort_outside_the_domain(self, tmp_path):
+        """A strict structure gets the same table check as a lax one."""
+        raw = json.load(open(FIXTURE))
+        raw["schemas"]["ZS"] = {"sorts": ["S", "Z"], "predicates": {
+            "Zed": [["z", "Z"]], "P": [["s", "S"]]}}
+        raw["structures"]["Zst"] = {
+            "schema": "ZS", "typeDomain": "A", "kind": "strict", "keys": ["k"],
+            "classifies": [["k", "P"]], "tuples": {"k": ["ann"]}}
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        assert run(["check", "-w", str(path), "structure", "Zst"]) == \
+            (1, "ITEM Zst: FAIL UnknownSort unknown sort 'Z'\n")
+        assert run(["eval", "-w", str(path), "-s", "Zst", "~Zed"]) == \
+            (2, "ITEM structures/Zst: FAIL UnknownSort: unknown sort 'Z'\n")
+
     def test_type_domain_morphism_maps_built_once(self):
         ws = load_workspace(FIXTURE)
         for name in ("collapse", "idA"):
@@ -584,7 +620,8 @@ def eager_diagnostics(raw) -> list:
     """The oracle for the loader's diagnostics: every item built at once, in
     load order.  The file's shape comes first, then each section with its
     shape, its items' shapes and each item's build, which sees only the
-    items built before it."""
+    items built before it.  A structure is validated in full as it is
+    built: its build leaves each table to be checked when first read."""
     built = {section: {} for section in SECTIONS}
     diagnostics = []
 
@@ -593,6 +630,10 @@ def eager_diagnostics(raw) -> list:
             if name not in built[section]:
                 raise UnresolvedReference(section, name)
             return built[section][name]
+
+    def validated(entry):
+        entry.lax.validate()
+        return entry
 
     def attempt(section, name, fn, *args):
         try:
@@ -608,6 +649,8 @@ def eager_diagnostics(raw) -> list:
         for name, data in [(n, d) for n, d in found.items() if attempt(
                 s.key, n, _shaped, d, dict, f"{s.key}.{n}") is not None]:
             item = attempt(s.key, name, s.build, Eager(), name, data)
+            if s.name == "structure" and item is not None:
+                item = attempt(s.key, name, validated, item)
             if item is not None:
                 built[s.name][name] = item
     return diagnostics
@@ -647,6 +690,71 @@ class TestOnDemand:
         assert run(["check", "-w", FIXTURE, "structure", "M"]) == \
             (0, "ITEM M: OK\n")
         assert counts == {"Table.validate": 3, "validate_database": 0}
+
+    def test_eval_and_migrate_validate_only_the_tables_they_read(
+            self, tmp_path, monkeypatch):
+        counts = self.count_validators(monkeypatch)
+        assert run(["eval", "-w", FIXTURE, "-s", "M", "Emp"])[0] == 0
+        assert counts == {"Table.validate": 1, "validate_database": 0}
+        out = str(tmp_path / "out.json")
+        assert run(["migrate", "-w", FIXTURE, "M.Emp", "collapse", "levo",
+                    "--out", out]) == (0, f"WROTE {out}\n")
+        # the flow checks Emp once more, against the morphism's target domain
+        assert counts == {"Table.validate": 1 + 2, "validate_database": 0}
+        assert run(["check", "-w", FIXTURE, "structure", "M"]) == \
+            (0, "ITEM M: OK\n")
+        assert counts == {"Table.validate": 3 + 3, "validate_database": 0}
+
+    def test_unread_bad_table_does_not_stop_eval_or_migrate(self, tmp_path):
+        raw = json.load(open(FIXTURE))
+        raw["structures"]["M"]["tables"]["Salaried"]["rows"]["zz"] = ["zzz"]
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        fixture_out, out = str(tmp_path / "f.json"), str(tmp_path / "o.json")
+        for argv in (["eval", "-s", "M", "Emp /\\ Emp"],
+                     ["eval", "-s", "M", "exists[h] Emp", "--as-table"]):
+            assert run(argv[:1] + ["-w", str(path)] + argv[1:]) == \
+                run(argv[:1] + ["-w", FIXTURE] + argv[1:])
+        for morphism, direction in (("idA", "dextro"), ("collapse", "levo")):
+            args = ["M.Emp", morphism, direction, "--out"]
+            assert run(["migrate", "-w", FIXTURE] + args + [fixture_out]) == \
+                (0, f"WROTE {fixture_out}\n")
+            assert run(["migrate", "-w", str(path)] + args + [out]) == \
+                (0, f"WROTE {out}\n")
+            assert open(out).read() == open(fixture_out).read()
+        lines = "".join(f"ITEM {s}/{n}: FAIL {e}\n"
+                        for s, n, e in eager_diagnostics(raw))
+        assert lines.startswith("ITEM structures/M: FAIL SignatureMismatch: "
+                                "row 'zz' = ('zzz',) is not well-sorted")
+        assert run(["eval", "-w", str(path), "-s", "M", "Emp /\\ Salaried"]) \
+            == (2, lines)
+        assert run(["migrate", "-w", str(path), "M.Salaried", "collapse",
+                    "levo", "--out", out]) == (2, lines)
+        assert run(["check", "-w", str(path), "structure", "M"])[0] == 1
+
+    @pytest.mark.parametrize("where, value, error", [
+        (("structures", "M", "tables", "Emp", "rows", "k1"), 3, "TypeError"),
+        (("structures", "M", "tables", "Emp", "signature"), "x", "ValueError"),
+        (("typeDomains", "A", "S"), ["ann", ["bob"]], "TypeError"),
+    ])
+    def test_read_table_that_raises_a_python_error(self, tmp_path, where,
+                                                   value, error):
+        """A table that eval or migrate reads and that fails to decode or to
+        check with a Python error ends as if its structure failed to load."""
+        raw = json.load(open(FIXTURE))
+        *steps, last = where
+        parent = raw
+        for step in steps:
+            parent = parent[step]
+        parent[last] = value
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        lines = "".join(f"ITEM {s}/{n}: FAIL {e}\n"
+                        for s, n, e in eager_diagnostics(raw))
+        assert f"ITEM structures/M: FAIL {error}: " in lines
+        assert run(["eval", "-w", str(path), "-s", "M", "Emp"]) == (2, lines)
+        assert run(["migrate", "-w", str(path), "M.Emp", "collapse", "levo",
+                    "--out", str(tmp_path / "out.json")]) == (2, lines)
 
     def test_loading_builds_nothing_until_looked_up(self, monkeypatch):
         counts = self.count_validators(monkeypatch)
@@ -704,6 +812,109 @@ class TestOnDemand:
                 list(getattr(ws, section.field))
             assert expected == [(d.section, d.name, d.error)
                                 for d in ws.diagnostics]
+
+
+def pairs(sig: Signature) -> list:
+    return [list(p) for p in sig.pairs()]
+
+
+def generated_workspace(rng: random.Random):
+    """A seeded structure G: predicates P0..P3 over one signature, Q over
+    its first attribute, and the morphism ``h`` from Q's signature into P0's.
+    Returns the workspace JSON, G as built here, and ``h``."""
+    td = rand_type_domain(rng, min_extent=1)
+    sig = rand_signature(rng, td, min_len=1)
+    h = SignatureMorphism.of(Signature(sig.attrs[:1], sig.sorts[:1]), sig,
+                             {sig.attrs[0]: sig.attrs[0]})
+    schema = Schema(td.sorts, dict({f"P{i}": sig for i in range(4)},
+                                   Q=h.source))
+    m = rand_lax_structure(rng, schema, td)
+    raw = {"typeDomains": {"A": {s: list(td.extent(s)) for s in td.sorts}},
+           "schemas": {"Sch": {"sorts": list(td.sorts), "predicates": {
+               r: pairs(s) for r, s in schema.predicates.items()}}},
+           "sigMorphisms": {"h": {"source": pairs(h.source),
+                                  "target": pairs(sig), "map": h.map}},
+           "structures": {"G": {"schema": "Sch", "typeDomain": "A", "tables": {
+               r: {"rows": {k: list(t) for k, t in table.rows.items()}}
+               for r, table in m.table_of.items()}}}}
+    return raw, m, h
+
+
+def plant(raw: dict, m, predicate: str, kind: str) -> dict:
+    """A copy of ``raw`` whose table of ``predicate`` in G is bad: a row with
+    a value outside its extent or of the wrong arity, or a signature that
+    is not the schema's."""
+    raw = json.loads(json.dumps(raw))
+    table = raw["structures"]["G"]["tables"][predicate]
+    sig = m.schema.signature_of(predicate)
+    row = list(enumerate_tuples(sig, m.type_domain)[0])
+    if kind == "value":
+        table["rows"]["bad"] = ["zzz"] + row[1:]
+    elif kind == "arity":
+        table["rows"]["bad"] = row + row[:1]
+    else:
+        table["signature"] = [[a + "x", s] for a, s in sig.pairs()]
+    return raw
+
+
+def sig_formula(rng: random.Random, atoms: list, depth: int) -> str:
+    """A random connective formula over ``atoms``, texts over P0's fiber."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(atoms)
+    op = rng.choice(["/\\", "\\/", "=>", "\\\\", "~"])
+    if op == "~":
+        return "~" + sig_formula(rng, atoms, depth - 1)
+    return (f"({sig_formula(rng, atoms, depth - 1)} {op} "
+            f"{sig_formula(rng, atoms, depth - 1)})")
+
+
+class TestUnreadTables:
+    """``eval`` reads only the tables its formula names: on a generated
+    structure with one bad table, a formula that does not name it prints
+    what it prints on the repaired structure, which the tuple oracle
+    confirms; one that names it ends as if the structure failed to load."""
+
+    @pytest.mark.parametrize("kind", ["value", "arity", "signature"])
+    def test_differential(self, tmp_path, kind):
+        outcomes = set()
+        for seed in range(12):
+            rng = random.Random(seed)
+            raw, m, h = generated_workspace(rng)
+            bad = rng.choice(sorted(m.schema.predicates))
+            planted = plant(raw, m, bad, kind)
+            paths = []
+            for name, data in (("good", raw), ("bad", planted)):
+                paths.append(tmp_path / f"{name}.json")
+                paths[-1].write_text(json.dumps(data))
+            good, broken = (str(p) for p in paths)
+            lines = "".join(f"ITEM {s}/{n}: FAIL {e}\n"
+                            for s, n, e in eager_diagnostics(planted))
+            assert lines.startswith("ITEM structures/G: FAIL SignatureMismatch")
+            code, detail = lines.split(": FAIL ")[1].split(": ", 1)
+            assert run(["check", "-w", broken, "structure", "G"]) == \
+                (1, f"ITEM G: FAIL {code} {detail}")
+            atoms = [f"P{i}" for i in range(4)] + ["subst[h] Q"]
+            unread = [a for a in atoms if a.split()[-1] != bad]
+            for _ in range(6):
+                phi = sig_formula(rng, unread, 3)
+                shapes = [phi, f"exists[h] {phi}", f"forall[h] {phi}"]
+                if bad != "Q":
+                    shapes.append(f"(exists[h] {phi} \\/ Q)")
+                text = rng.choice(shapes)
+                code, out = run(["eval", "-w", good, "-s", "G", text, "--json"])
+                assert code == 0
+                assert run(["eval", "-w", broken, "-s", "G", text, "--json"]) \
+                    == (0, out)
+                oracle = interpret_by_oracle(
+                    m, parse_formula(text, m.schema, {"h": h}))
+                assert set(map(tuple, json.loads(out)["tuples"])) == \
+                    oracle.tuples
+                named = next(a for a in atoms if a.split()[-1] == bad)
+                text = rng.choice([f"({phi} /\\ {named})",
+                                   f"~({named} => {phi})"])
+                assert run(["eval", "-w", broken, "-s", "G", text]) == (2, lines)
+                outcomes.add(bool(oracle.tuples))
+        assert outcomes == {True, False}
 
 
 class TestConvert:
