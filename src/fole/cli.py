@@ -17,10 +17,9 @@ from .errors import FoleError, UnresolvedReference
 from .formula import parse_formula
 from .logic_db import Database, SoundLogic, db_image, db_to_snd, snd_to_db
 from .specs import satisfies_spec
-from .structure import interpret_relation, interpret_table
+from .structure import BUILD_ERRORS, interpret_relation, interpret_table
 from .tables import table_flow_type_domain, table_image
-from .workspace import (BUILD_ERRORS, SECTIONS, Workspace, dump_json,
-                        key_names, load_workspace)
+from .workspace import SECTIONS, Workspace, dump_json, key_names, load_workspace
 
 
 def _emit(out, text: str):
@@ -94,8 +93,9 @@ def _loaded(ws: Workspace, what: str, name: str) -> dict:
         if name in items:
             return {"name": name, "ok": True}
         if name in items.failed:
-            code, _, detail = items.failed[name].error.partition(": ")
-            return {"name": name, "ok": False, "code": code, "detail": detail}
+            exc = items.failed[name]
+            return {"name": name, "ok": False, "code": type(exc).__name__,
+                    "detail": str(exc)}
     raise UnresolvedReference(what, name)
 
 

@@ -27,6 +27,7 @@ from .core import (
 from .errors import (
     DefiningConditionViolation,
     EntityInfomorphismViolation,
+    FoleError,
     KeyBridgeViolation,
     SignatureMismatch,
 )
@@ -110,31 +111,47 @@ def check_table(r: str, table: Table, schema: Schema, td: TypeDomain) -> Table:
     return table
 
 
-class TableFamily(Mapping):
-    """A structure's tables by predicate, read-only: a table is made by
-    ``build(r, data[r])`` and passes ``check_table`` on its first lookup, and
-    is then memoised.  Membership, iteration and ``len`` build no table."""
+# What making an item or a table raises on bad data: each is recorded.
+BUILD_ERRORS = (FoleError, KeyError, ValueError, TypeError, AttributeError)
 
-    def __init__(self, schema: Schema, type_domain: TypeDomain,
-                 data: Mapping[str, Any], build: Callable[[str, Any], Table]):
-        self._schema, self._td, self._build = schema, type_domain, build
-        self._names, self._pending, self._built = tuple(data), dict(data), {}
 
-    def __getitem__(self, r: str) -> Table:
-        if r in self._pending:
-            self._built[r] = check_table(r, self._build(r, self._pending[r]),
-                                         self._schema, self._td)
-            del self._pending[r]
-        return self._built[r]
+class Lazy(Mapping):
+    """A read-only mapping of the names declared in ``data``: a name's first
+    lookup makes its value by ``make(name, data[name])`` and memoises it.  A
+    make that raises one of ``BUILD_ERRORS`` is kept in ``failed`` and raised
+    again on each later lookup; a failed name, like an undeclared one, is not
+    ``in`` the mapping.  Iteration follows ``data`` and makes every name."""
 
-    def __contains__(self, r) -> bool:
-        return r in self._built or r in self._pending
+    def __init__(self, data: Mapping, make: Callable[[Any, Any], Any]):
+        self.data, self._make, self._made = data, make, {}
+        self.failed: dict = {}  # name -> the exception its make raised
+
+    def __getitem__(self, name):
+        if name not in self._made:
+            if name in self.failed:
+                raise self.failed[name]
+            data = self.data[name]
+            try:
+                self._made[name] = self._make(name, data)
+            except BUILD_ERRORS as exc:
+                self.failed[name] = exc
+                raise
+        return self._made[name]
+
+    def __contains__(self, name) -> bool:
+        if name not in self.data:  # an unhashable name raises, as in a dict
+            return False
+        try:
+            self[name]
+        except BUILD_ERRORS:
+            return False
+        return True
 
     def __iter__(self):
-        return iter(self._names)
+        return (n for n in self.data if n in self)
 
     def __len__(self) -> int:
-        return len(self._names)
+        return sum(1 for _ in self)
 
 
 @dataclass
@@ -146,23 +163,22 @@ class LaxStructure:
     table_of: Mapping[str, Table]
 
     def validate(self) -> None:
-        """The full check, predicate by predicate in schema order: it has a
-        table, which passes ``check_table`` (a ``TableFamily`` runs that on
-        the table's first lookup)."""
+        """The full check of plain-dict tables, predicate by predicate in
+        schema order: it has a table, which passes ``check_table``.  A
+        ``Lazy`` family checks each table on its first lookup instead: looking
+        up every predicate is its full check, and the loader never calls this."""
         for r in self.schema.predicates:
             check_has_table(r, self.table_of)
-            table = self.table_of[r]
-            if not isinstance(self.table_of, TableFamily):
-                check_table(r, table, self.schema, self.type_domain)
+            check_table(r, self.table_of[r], self.schema, self.type_domain)
 
 
 def to_lax(m: StrictStructure) -> LaxStructure:
     """Forget the global key set; keep one table per predicate, each checked
     by ``check_table`` when first read."""
     validate_strict(m)
-    return LaxStructure(m.schema, m.type_domain, TableFamily(
-        m.schema, m.type_domain, m.schema.predicates,
-        lambda r, sig: Table(sig, {k: m.tuple_of_key[k] for k in m.extent(r)})))
+    return LaxStructure(m.schema, m.type_domain, Lazy(
+        m.schema.predicates, lambda r, sig: check_table(r, Table(sig, {
+            k: m.tuple_of_key[k] for k in m.extent(r)}), m.schema, m.type_domain)))
 
 
 # ----------------------------------------------------------- interpretation

@@ -4,17 +4,18 @@ Top-level keys, in load order (``SECTIONS``): "typeDomains", "schemas",
 "sigMorphisms", "typeDomainMorphisms", "structures", "specs", "databases",
 "specMorphisms", "structureMorphisms", "dbMorphisms".  All sections are
 optional; an item refers by name only to items of earlier sections.  Loading
-checks the JSON shape of every item; an item is built and validated when
-first looked up, but for a structure read through ``Workspace.structure``,
-whose tables are each built and checked when first read.  Failures are
-collected as diagnostics, not raised.
+checks the JSON shape of the file, of each section and of each item.  Each
+section is a ``Lazy`` mapping: an item is built and validated on its first
+lookup.  A structure's tables are a ``Lazy`` mapping too, each table built
+and checked on its first read: its section reads every table, while
+``Workspace.structure`` reads none.  Failures are kept as diagnostics, not
+raised.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
-from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
@@ -27,7 +28,7 @@ from .core import (
     check_type_domain_morphism,
     pushed_signature,
 )
-from .errors import FoleError, KeyCollision, ShapeError, UnresolvedReference
+from .errors import KeyCollision, ShapeError, UnresolvedReference
 from .formula import Schema
 from .logic_db import (
     Database,
@@ -44,10 +45,11 @@ from .specs import (
 from .structure import (
     LaxStructure,
     LaxStructureMorphism,
+    Lazy,
     StrictStructure,
     StrictStructureMorphism,
-    TableFamily,
     check_has_table,
+    check_table,
     strict_morphism_to_lax,
     to_lax,
     validate_lax_morphism,
@@ -142,92 +144,47 @@ def _block(parts: list, ends: str, depth: int) -> str:
     return ends[0] + pad + "  " + ("," + pad + "  ").join(parts) + pad + ends[1]
 
 
-@dataclass
-class StructureEntry:
+class StructureEntry(NamedTuple):
     lax: LaxStructure
     strict: Optional[StrictStructure] = None
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     section: str
     name: str
     error: str
 
 
-class Items(Mapping):
-    """One section's items.  A name's first lookup builds and validates its
-    item from its decoded JSON, which is then dropped: the section's
-    ``build``, then its ``check``.  The item is memoised; ``failed`` holds the
-    diagnostic of each name whose shape, build or check failed."""
-
-    def __init__(self, ws: "Workspace", section: "Section", raw: dict):
-        self._ws, self._section = ws, section
-        key, self.shape = section.key, []  # the section's, then its items'
-        found = _shape(self.shape, "workspace", key,
-                       raw.get(key, {}), dict, key) or {}
-        self._pending = {n: d for n, d in found.items() if _shape(
-            self.shape, key, n, d, dict, f"{key}.{n}") is not None}
-        self._names, self._built = tuple(self._pending), {}
-        self._unchecked = set()  # built, its section's ``check`` not yet run
-        self.failed = {d.name: d for d in self.shape if d.section == key}
-
-    def built(self, name):
-        """The item once built, whether or not the section's ``check`` has
-        run: a structure whose tables are checked as they are read."""
-        if name in self._pending:
-            try:
-                self._built[name] = self._section.build(
-                    self._ws, name, self._pending.pop(name))
-                self._unchecked.add(name)
-            except BUILD_ERRORS as exc:
-                self._fail(name, exc)
-        return self._built[name]
-
-    def __getitem__(self, name):
-        item = self.built(name)
-        if name in self._unchecked:
-            self._unchecked.discard(name)
-            try:
-                self._section.check(item)
-            except BUILD_ERRORS as exc:
-                del self._built[name]
-                self._fail(name, exc)
-        return self._built[name]
-
-    def _fail(self, name: str, exc: Exception) -> None:
-        self.failed[name] = Diagnostic(self._section.key, name,
-                                       f"{type(exc).__name__}: {exc}")
-
-    def __iter__(self):
-        return (n for n in self._names if n in self)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    def diagnostics(self) -> list[Diagnostic]:
-        """The shape diagnostics, then every item's build, in item order."""
-        return self.shape + [self.failed[n] for n in self._names if n not in self]
-
-
 class Workspace:
-    """One ``Items`` mapping per section, in the field ``SECTIONS`` names:
+    """One ``Lazy`` mapping per section, in the field ``SECTIONS`` names:
     shapes are checked when loading, each item built when first looked up."""
 
     def __init__(self, raw):
-        self.shape: list[Diagnostic] = []  # the file's own
-        raw = _shape(self.shape, "workspace", "", raw, dict, "workspace") or {}
-        for section in SECTIONS.values():
-            setattr(self, section.field, Items(self, section, raw))
+        self.shape = {}  # ShapeError of the file (key "") and of each section
+        raw = _shape(self.shape, "", raw, dict, "workspace") or {}
+        for s in SECTIONS.values():
+            items = Lazy({}, partial(s.build, self))
+            for n, d in (_shape(self.shape, s.key, raw.get(s.key, {}), dict,
+                                s.key) or {}).items():
+                if _shape(items.failed, n, d, dict, f"{s.key}.{n}") is not None:
+                    items.data[n] = d
+            setattr(self, s.field, items)
         self.misshapen = bool(self.shape) or any(
-            getattr(self, s.field).shape for s in SECTIONS.values())
+            getattr(self, s.field).failed for s in SECTIONS.values())
 
     @property
     def diagnostics(self) -> list[Diagnostic]:
         """Every diagnostic, building every item: the file's shape, then each
         section in load order with its shape, its items' shapes and builds."""
-        return self.shape + [d for section in SECTIONS.values()
-                             for d in getattr(self, section.field).diagnostics()]
+        found = [("workspace", "", self.shape.get(""))]
+        for s in SECTIONS.values():
+            items = getattr(self, s.field)
+            shapes = [n for n in items.failed if n not in items.data]
+            found += [("workspace", s.key, self.shape.get(s.key))] + [
+                (s.key, n, items.failed[n])
+                for n in shapes + [n for n in items.data if n not in items]]
+        return [Diagnostic(section, name, f"{type(exc).__name__}: {exc}")
+                for section, name, exc in found if exc is not None]
 
     def require(self, section: str, name: str):
         """The validated item ``name`` of ``section``."""
@@ -237,12 +194,11 @@ class Workspace:
         return items[name]
 
     def structure(self, name: str) -> LaxStructure:
-        """Structure ``name`` in lax form, each table built and checked when
-        first read; ``require`` checks every table before it returns."""
-        try:
-            return self.structures.built(name).lax
-        except KeyError:
-            raise UnresolvedReference("structure", name) from None
+        """Structure ``name`` in lax form, built as its section builds it but
+        with each table built and checked only when first read."""
+        if name not in self.structures.data:
+            raise UnresolvedReference("structure", name)
+        return _structure(self, name, self.structures.data[name]).lax
 
 
 def load_workspace(path: str) -> Workspace:
@@ -252,12 +208,10 @@ def load_workspace(path: str) -> Workspace:
         except (UnicodeDecodeError, RecursionError) as exc:
             # bytes that are not UTF-8, or nesting too deep to decode
             raise ShapeError(f"workspace: {exc}") from None
-    return load_workspace_data(raw)
-
-
-def load_workspace_data(raw: dict) -> Workspace:
-    """Shapes checked, no item built: each is built on its first lookup."""
     return Workspace(raw)
+
+
+load_workspace_data = Workspace
 
 
 def _shaped(value, kind: type, path: str):
@@ -269,27 +223,31 @@ def _shaped(value, kind: type, path: str):
     return value
 
 
-# What building an item raises on bad data: each becomes a diagnostic.
-BUILD_ERRORS = (FoleError, KeyError, ValueError, TypeError, AttributeError)
-
-
-def _shape(diagnostics: list, section: str, name: str, *args):
-    """``_shaped(*args)``, or None with its diagnostic added."""
+def _shape(failed: dict, name: str, *args):
+    """``_shaped(*args)``, or None with its ``ShapeError`` in ``failed[name]``."""
     try:
         return _shaped(*args)
-    except BUILD_ERRORS as exc:
-        diagnostics.append(Diagnostic(section, name, f"{type(exc).__name__}: {exc}"))
+    except ShapeError as exc:
+        failed[name] = exc
+
+
+def _strings(values, path: str) -> tuple:
+    """``values``, a list of strings, as a tuple, else a ``ShapeError``
+    naming the path of the list or of its first value that is not one."""
+    for i, v in enumerate(_shaped(values, list, path)):
+        if v.__class__ is not str:
+            _shaped(v, str, f"{path}[{i}]")
+    return tuple(values)
 
 
 def _type_domain(ws: Workspace, name: str, data) -> TypeDomain:
     return TypeDomain(tuple(data), {
-        x: tuple(_shaped(vs, list, f"typeDomains.{name}.{x}"))
-        for x, vs in data.items()})
+        x: _strings(vs, f"typeDomains.{name}.{x}") for x, vs in data.items()})
 
 
 def _schema(ws: Workspace, name: str, data) -> Schema:
     return Schema(
-        sorts=tuple(data["sorts"]),
+        sorts=_strings(data["sorts"], f"schemas.{name}.sorts"),
         predicates={r: _signature(sig) for r, sig in data["predicates"].items()},
         signatures={n: _signature(sig)
                     for n, sig in data.get("signatures", {}).items()})
@@ -311,6 +269,7 @@ def _td_morphism(ws: Workspace, name: str, data):
 
 
 def _structure(ws: Workspace, name: str, data) -> StructureEntry:
+    """Structure ``name``, each table built and checked on its first read."""
     schema = ws.require("schema", data["schema"])
     td = ws.require("typeDomain", data["typeDomain"])
     if data.get("kind", "lax") == "strict":
@@ -327,9 +286,17 @@ def _structure(ws: Workspace, name: str, data) -> StructureEntry:
         _shaped(rows, dict, f"{path}.{r}.rows")
     for r in schema.predicates:
         check_has_table(r, tables)
-    return StructureEntry(LaxStructure(schema, td, TableFamily(
-        schema, td, tables,
-        lambda r, tdata: _table(tdata, schema.signature_of(r)))))
+    return StructureEntry(LaxStructure(schema, td, Lazy(
+        tables, lambda r, t: check_table(
+            r, _table(t, schema.signature_of(r)), schema, td))))
+
+
+def _checked_structure(ws: Workspace, name: str, data) -> StructureEntry:
+    """``_structure``, every table read: the structure's full check."""
+    entry = _structure(ws, name, data)
+    for r in entry.lax.schema.predicates:
+        entry.lax.table_of[r]
+    return entry
 
 
 def _spec(ws: Workspace, name: str, data) -> AbstractSpec:
@@ -406,8 +373,7 @@ class Section(NamedTuple):
     name: str  # as ``Workspace.require`` names it
     key: str  # the top-level JSON key
     field: str  # the ``Workspace`` field holding its items
-    build: Callable  # (ws, name, data) -> the item, validated but for ``check``
-    check: Callable = lambda item: None  # item -> None: what ``build`` defers
+    build: Callable  # (ws, name, data) -> the item, validated
 
 
 # Every section, in load order: an item refers only to earlier sections.
@@ -417,8 +383,7 @@ SECTIONS = {s.name: s for s in (
     Section("sigMorphism", "sigMorphisms", "sig_morphisms", _sig_morphism),
     Section("typeDomainMorphism", "typeDomainMorphisms",
             "type_domain_morphisms", _td_morphism),
-    Section("structure", "structures", "structures", _structure,
-            lambda entry: entry.lax.validate()),
+    Section("structure", "structures", "structures", _checked_structure),
     Section("spec", "specs", "specs", _spec),
     Section("database", "databases", "databases", _database),
     Section("specMorphism", "specMorphisms", "spec_morphisms", _spec_morphism),

@@ -86,6 +86,17 @@ class TestLoadWorkspace:
          ("typeDomains", "A", "typeDomains.A.S: expected a list, got a string")),
         ({"structures": {"M": 3}},
          ("structures", "M", "structures.M: expected an object, got 3")),
+        ({"typeDomains": {"A": {"S": ["a", ["b"]]}}},
+         ("typeDomains", "A", "typeDomains.A.S[1]: expected a string, "
+                              "got a list")),
+        ({"schemas": {"Sch": {"sorts": ["S", "D", ["x"]], "predicates": {}}}},
+         ("schemas", "Sch", "schemas.Sch.sorts[2]: expected a string, "
+                            "got a list")),
+        ({"schemas": {"Sch": {"sorts": [1, "S", "D"], "predicates": {}}}},
+         ("schemas", "Sch", "schemas.Sch.sorts[0]: expected a string, got 1")),
+        ({"schemas": {"Sch": {"sorts": "SD", "predicates": {}}}},
+         ("schemas", "Sch", "schemas.Sch.sorts: expected a list, "
+                            "got a string")),
         ([], ("workspace", "", "workspace: expected an object, got a list")),
     ])
     def test_shape_error_names_json_path(self, raw, diagnostic):
@@ -732,15 +743,9 @@ class TestOnDemand:
                     "levo", "--out", out]) == (2, lines)
         assert run(["check", "-w", str(path), "structure", "M"])[0] == 1
 
-    @pytest.mark.parametrize("where, value, error", [
-        (("structures", "M", "tables", "Emp", "rows", "k1"), 3, "TypeError"),
-        (("structures", "M", "tables", "Emp", "signature"), "x", "ValueError"),
-        (("typeDomains", "A", "S"), ["ann", ["bob"]], "TypeError"),
-    ])
-    def test_read_table_that_raises_a_python_error(self, tmp_path, where,
-                                                   value, error):
-        """A table that eval or migrate reads and that fails to decode or to
-        check with a Python error ends as if its structure failed to load."""
+    def broken(self, tmp_path, where: tuple, value) -> tuple:
+        """The path of the fixture with the value at ``where`` replaced, and
+        the lines of every diagnostic of an eager load of it."""
         raw = json.load(open(FIXTURE))
         *steps, last = where
         parent = raw
@@ -749,12 +754,36 @@ class TestOnDemand:
         parent[last] = value
         path = tmp_path / "ws.json"
         path.write_text(json.dumps(raw))
-        lines = "".join(f"ITEM {s}/{n}: FAIL {e}\n"
-                        for s, n, e in eager_diagnostics(raw))
-        assert f"ITEM structures/M: FAIL {error}: " in lines
-        assert run(["eval", "-w", str(path), "-s", "M", "Emp"]) == (2, lines)
-        assert run(["migrate", "-w", str(path), "M.Emp", "collapse", "levo",
+        return str(path), "".join(f"ITEM {s}/{n}: FAIL {e}\n"
+                                  for s, n, e in eager_diagnostics(raw))
+
+    def assert_eval_and_migrate_fail(self, tmp_path, path: str, lines: str):
+        assert run(["eval", "-w", path, "-s", "M", "Emp"]) == (2, lines)
+        assert run(["migrate", "-w", path, "M.Emp", "collapse", "levo",
                     "--out", str(tmp_path / "out.json")]) == (2, lines)
+
+    @pytest.mark.parametrize("where, value, error", [
+        (("structures", "M", "tables", "Emp", "rows", "k1"), 3, "TypeError"),
+        (("structures", "M", "tables", "Emp", "signature"), "x", "ValueError"),
+    ])
+    def test_read_table_that_raises_a_python_error(self, tmp_path, where,
+                                                   value, error):
+        """A table that eval or migrate reads and that fails to decode or to
+        check with a Python error ends as if its structure failed to load."""
+        path, lines = self.broken(tmp_path, where, value)
+        assert f"ITEM structures/M: FAIL {error}: " in lines
+        self.assert_eval_and_migrate_fail(tmp_path, path, lines)
+
+    def test_read_structure_over_a_non_string_extent(self, tmp_path):
+        """An extent value that is not a string fails its type domain's
+        shape, and so every structure over it, before any table is read."""
+        path, lines = self.broken(tmp_path, ("typeDomains", "A", "S"),
+                                  ["ann", ["bob"]])
+        assert lines.startswith(
+            "ITEM typeDomains/A: FAIL ShapeError: typeDomains.A.S[1]: "
+            "expected a string, got a list\n")
+        assert "ITEM structures/M: FAIL UnresolvedReference: " in lines
+        self.assert_eval_and_migrate_fail(tmp_path, path, lines)
 
     def test_loading_builds_nothing_until_looked_up(self, monkeypatch):
         counts = self.count_validators(monkeypatch)

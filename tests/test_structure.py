@@ -47,8 +47,10 @@ from fole.errors import (
     FiberMismatch,
     FlowMismatch,
     KeyBridgeViolation,
+    SignatureMismatch,
     UnknownSort,
 )
+from fole.structure import Lazy
 from generators import (
     rand_formula,
     rand_lax_morphism_setup,
@@ -119,6 +121,68 @@ class TestLaxValidate:
     def test_empty_tables_over_known_sorts_pass(self):
         LaxStructure(SCHEMA, TD, {r: Table(sig, {}) for r, sig
                                   in SCHEMA.predicates.items()}).validate()
+
+
+class TestLazy:
+    """The mapping behind workspace sections and a structure's tables."""
+
+    def lazy(self, calls: list) -> Lazy:
+        def make(name, data):
+            calls.append(name)
+            if data is None:
+                raise SignatureMismatch(f"no data for {name!r}")
+            return data * 2
+        return Lazy({"b": 1, "a": None, "c": 3}, make)
+
+    def test_make_runs_once_per_name(self):
+        calls = []
+        lazy = self.lazy(calls)
+        assert (lazy["c"], lazy["c"], lazy["b"]) == (6, 6, 2)
+        assert "c" in lazy and dict(lazy) == {"b": 2, "c": 6}
+        assert calls == ["c", "b", "a"]
+
+    def test_failed_make_is_kept_and_raised_again(self):
+        calls = []
+        lazy = self.lazy(calls)
+        with pytest.raises(SignatureMismatch) as first:
+            lazy["a"]
+        assert lazy.failed == {"a": first.value}
+        with pytest.raises(SignatureMismatch) as again:
+            lazy["a"]
+        assert again.value is first.value and calls == ["a"]
+
+    def test_failed_and_undeclared_names_are_not_in(self):
+        calls = []
+        lazy = self.lazy(calls)
+        assert "a" not in lazy and "zz" not in lazy
+        with pytest.raises(KeyError):
+            lazy["zz"]
+        assert calls == ["a"] and list(lazy.failed) == ["a"]
+
+    def test_iteration_follows_declaration_and_skips_failures(self):
+        calls = []
+        lazy = self.lazy(calls)
+        lazy["c"]
+        assert list(lazy) == ["b", "c"] and len(lazy) == 2
+        assert calls == ["c", "b", "a"]
+
+    def test_unhashable_name_raises_from_in(self):
+        calls = []
+        lazy = self.lazy(calls)
+        with pytest.raises(TypeError, match="unhashable"):
+            ["a"] in lazy
+        assert calls == [] and not lazy.failed
+
+    def test_to_lax_checks_a_table_on_its_first_lookup(self):
+        m = StrictStructure(
+            Schema(sorts=("S", "D", "Z"), predicates=dict(
+                SCHEMA.predicates, Zed=Signature.of([("z", "Z")]))),
+            TD, ("k1",), frozenset([("k1", "Emp")]), {"k1": ("ann", "hr")})
+        lax = to_lax(m)
+        assert lax.table_of["Emp"].rows == {"k1": ("ann", "hr")}
+        with pytest.raises(UnknownSort):
+            lax.table_of["Zed"]
+        assert "Zed" not in lax.table_of and "Emp" in lax.table_of
 
 
 class TestInterpretation:
