@@ -9,9 +9,8 @@ function of its inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import InfomorphismViolation, SortMismatch, UnknownSort
@@ -19,8 +18,57 @@ from .errors import InfomorphismViolation, SortMismatch, UnknownSort
 Row = tuple  # tuple of value atoms, aligned with a Signature's attrs
 
 
-@dataclass(frozen=True)
-class Signature:
+class Record:
+    """Named fields with value semantics and no generated code.  A subclass
+    declares them as annotations; a value in the class body is a default.
+    ``==`` holds within one class, over the fields not named ``uncompared``;
+    ``frozen=True`` records hash those and refuse assignment."""
+
+    _uncompared = frozenset()
+
+    def __init_subclass__(cls, frozen=False, uncompared=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._uncompared = cls._uncompared.union(uncompared)
+        cls._fields = {}  # name -> annotation
+        for klass in reversed(cls.__mro__):
+            cls._fields.update(vars(klass).get("__annotations__", {}))
+        cls._required = {n for n in cls._fields if not hasattr(cls, n)}
+        cls._key = attrgetter(*[n for n in cls._fields if n not in cls._uncompared])
+        if frozen:  # a subclass inherits both
+            cls.__hash__ = Record._hash
+            cls.__setattr__ = cls.__delattr__ = Record._assign
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):  # else the fast path
+            given = dict(zip(self._fields, args), **kwargs)
+            if len(given) < len(args) + len(kwargs) or not (
+                    self._required <= given.keys() <= self._fields.keys()):
+                raise TypeError(f"{type(self).__name__}() takes {tuple(self._fields)}")
+            args = [given[n] if n in given else getattr(self, n) for n in self._fields]
+        for name, value in zip(self._fields, args):  # past a frozen __setattr__
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks run after each construction; none by default."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._key(self) == self._key(other)
+        return NotImplemented
+
+    def _hash(self):
+        return hash(self._key(self))
+
+    def _assign(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in self._fields) + ")"
+
+
+class Signature(Record, frozen=True):
     """An ordered list of named attributes, each with a sort.
 
     Equality is order-sensitive: signatures are indexed families, not sets.
@@ -29,11 +77,13 @@ class Signature:
     attrs: tuple[str, ...]
     sorts: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.attrs) != len(self.sorts):
+    def __init__(self, attrs: tuple[str, ...], sorts: tuple[str, ...]):
+        if len(attrs) != len(sorts):
             raise ValueError("attrs and sorts must have equal length")
-        if len(set(self.attrs)) != len(self.attrs):
-            raise ValueError(f"duplicate attribute names in {self.attrs}")
+        if len(set(attrs)) != len(attrs):
+            raise ValueError(f"duplicate attribute names in {attrs}")
+        object.__setattr__(self, "attrs", attrs)
+        object.__setattr__(self, "sorts", sorts)
 
     @staticmethod
     def of(pairs: Iterable[tuple[str, str]]) -> "Signature":
@@ -56,8 +106,7 @@ class Signature:
         return "(" + ",".join(f"{a}:{s}" for a, s in self.pairs()) + ")"
 
 
-@dataclass
-class TypeDomain:
+class TypeDomain(Record):
     """Sort-indexed finite value extents.
 
     The global value set is the union of the extents; extent enumeration
@@ -92,8 +141,7 @@ class TypeDomain:
         return frozenset(x for x in self.sorts if value in self.extents[x])
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record, frozen=True):
     separated: bool
     extensional: bool
     disjoint: bool
@@ -138,8 +186,7 @@ def classify(td: TypeDomain) -> ClassificationReport:
     )
 
 
-@dataclass(frozen=True)
-class SignatureMorphism:
+class SignatureMorphism(Record, frozen=True):
     """A sort-preserving reindexing from ``source`` attrs into ``target`` attrs."""
 
     source: Signature
@@ -224,8 +271,7 @@ def tuple_along(h: SignatureMorphism, values: Row) -> Row:
     return h.project(values)
 
 
-@dataclass(frozen=True)
-class TypeDomainMorphism:
+class TypeDomainMorphism(Record, frozen=True):
     """An infomorphism between type domains: sorts forward, values backward.
 
     ``sort_map`` sends source-domain sorts to target-domain sorts;

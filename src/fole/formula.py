@@ -17,10 +17,9 @@ environment; atoms resolve against a schema.  Nesting is capped at
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .core import Signature, SignatureMorphism
+from .core import Record, Signature, SignatureMorphism
 from .errors import (
     FiberMismatch,
     FlowMismatch,
@@ -31,8 +30,7 @@ from .errors import (
 )
 
 
-@dataclass
-class Schema:
+class Schema(Record):
     """Predicate names with their signatures over a fixed sort set."""
 
     sorts: tuple[str, ...]
@@ -57,18 +55,16 @@ class Schema:
 # Each connective states its DSL keyword or symbol and its fiber operation
 # once; consumers branch once per family and read these class attributes.
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record, frozen=True):
     predicate: str
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Record, frozen=True, uncompared=("name",)):
     """The whole fiber or the empty one: ``keyword@NAME`` in the DSL, the
     ``fiber_boolean`` operation ``op``."""
 
     signature: Signature
-    name: str = field(default="", compare=False)
+    name: str = ""
 
 
 class Top(Constant):
@@ -79,14 +75,12 @@ class Bottom(Constant):
     keyword, op = "bot", "bottom"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record, frozen=True):
     body: "Formula"
     symbol, op = "~", "negation"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(Record, frozen=True):
     """A connective whose operands and result share one fiber: the infix
     ``symbol`` in the DSL, the ``fiber_boolean`` operation ``op``."""
 
@@ -110,14 +104,13 @@ class Diff(Binary):
     symbol, op = "\\\\", "difference"
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(Record, frozen=True, uncompared=("name",)):
     """A flow along a named signature morphism: ``keyword[NAME]`` in the
     DSL, the ``fiber_flow`` mode ``mode``."""
 
     morphism: SignatureMorphism
     body: "Formula"
-    name: str = field(default="", compare=False)
+    name: str = ""
 
     def fibers(self) -> tuple[Signature, Signature]:
         """The body's fiber and the result's: from ``h.target`` to ``h.source``."""
@@ -252,7 +245,7 @@ class _Parser:
             depth = self.nest(depth)
             if value not in self.morphisms:
                 raise UnknownMorphism(value)
-            return _FLOWS[kind](self.morphisms[value], self.unary(depth), name=value)
+            return _FLOWS[kind](self.morphisms[value], self.unary(depth), value)
         return self.primary(depth)
 
     def primary(self, depth: int) -> Formula:
@@ -271,7 +264,7 @@ class _Parser:
         if kind in _CONSTANTS:
             if value not in self.signatures:
                 raise UnknownSignature(value)
-            return _CONSTANTS[kind](self.signatures[value], name=value)
+            return _CONSTANTS[kind](self.signatures[value], value)
         if kind is None:
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
@@ -313,8 +306,7 @@ def print_formula(phi: Formula) -> str:
 
 # ----------------------------------------------------- sequents/constraints
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Record, frozen=True):
     """An entailment assertion inside one fiber."""
 
     lhs: Formula
@@ -328,8 +320,7 @@ class Sequent:
         return ls
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record, frozen=True):
     """A cross-fiber entailment: source formula, target formula, and a
     signature morphism from the source fiber to the target fiber."""
 

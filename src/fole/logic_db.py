@@ -8,10 +8,10 @@ their tuple images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
 from .core import (
+    Record,
     Signature,
     SignatureMorphism,
     TypeDomain,
@@ -46,8 +46,7 @@ from .tables import (
 Key = Hashable
 
 
-@dataclass
-class SoundLogic:
+class SoundLogic(Record):
     """Structure + specification, with satisfaction decided at construction;
     the loader or a ``Database`` has validated both parts already."""
 
@@ -67,8 +66,7 @@ class SoundLogic:
         return self.structure.schema
 
 
-@dataclass
-class Database:
+class Database(Record):
     """A table per predicate and a table morphism per constraint, all over
     one type domain, validated at construction."""
 
@@ -170,8 +168,7 @@ def db_image(db: Database) -> Database:
 
 # ----------------------------------------------------------------- morphisms
 
-@dataclass
-class SoundLogicMorphism:
+class SoundLogicMorphism(Record):
     """A spec morphism and a structure morphism along a common schema map."""
 
     spec_morphism: SpecMorphism
@@ -184,8 +181,7 @@ class SoundLogicMorphism:
             raise SignatureMismatch("signature bridges of the two parts disagree")
 
 
-@dataclass
-class DatabaseMorphism:
+class DatabaseMorphism(Record):
     """Spec morphism + type-domain morphism + per-predicate key bridge."""
 
     spec_morphism: SpecMorphism

@@ -8,10 +8,9 @@ database schemas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import SignatureMorphism, check_signature_morphism
+from .core import Record, SignatureMorphism, check_signature_morphism
 from .errors import NaturalityViolation, SignatureMismatch, Unsatisfied
 from .formula import Atom, Constraint, Schema
 from .structure import (
@@ -23,8 +22,7 @@ from .structure import (
 from .tables import Relation, TableMorphism
 
 
-@dataclass(frozen=True)
-class GeneratingConstraint:
+class GeneratingConstraint(Record, frozen=True):
     """An arrow between two predicates, carrying its signature morphism."""
 
     name: str
@@ -37,8 +35,7 @@ class GeneratingConstraint:
                           Atom(self.target_predicate), self.morphism)
 
 
-@dataclass(frozen=True)
-class CompositeDeclaration:
+class CompositeDeclaration(Record, frozen=True):
     """Declares that following ``path`` (in diagrammatic order) equals the
     single named constraint ``equals``."""
 
@@ -46,8 +43,7 @@ class CompositeDeclaration:
     equals: str
 
 
-@dataclass
-class AbstractSpec:
+class AbstractSpec(Record):
     schema: Schema
     constraints: dict[str, GeneratingConstraint]
     composites: tuple[CompositeDeclaration, ...] = ()
@@ -91,8 +87,7 @@ class AbstractSpec:
         return GeneratingConstraint("&".join(path), src, tgt, h)
 
 
-@dataclass
-class FormalSpec:
+class FormalSpec(Record):
     """Constraints between arbitrary formulas."""
 
     schema: Schema
@@ -111,8 +106,7 @@ def companion_formal(t: AbstractSpec) -> FormalSpec:
     )
 
 
-@dataclass
-class SatisfactionReport:
+class SatisfactionReport(Record):
     satisfied: bool
     verdicts: dict[str, ConstraintVerdict]
 
@@ -136,8 +130,7 @@ def satisfies_spec(m: LaxStructure, t: "AbstractSpec | FormalSpec") -> Satisfact
     return SatisfactionReport(all(v.satisfied for v in verdicts.values()), verdicts)
 
 
-@dataclass
-class TablePassage:
+class TablePassage(Record):
     """The interpretation functor induced by a satisfied specification:
     relations on predicates, relation morphisms on constraints."""
 
@@ -181,8 +174,7 @@ def _compose_arrows(path: list[TableMorphism]) -> TableMorphism:
     return TableMorphism(sig, key_map)
 
 
-@dataclass
-class SpecMorphism:
+class SpecMorphism(Record):
     """A map of predicates and constraints with a per-predicate signature
     bridge over a sort map."""
 

@@ -8,10 +8,10 @@ tables (keyed semantics); the two agree through ``table_image``.
 from __future__ import annotations
 
 from collections.abc import Container, Mapping
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
 from .core import (
+    Record,
     Row,
     Signature,
     SignatureMorphism,
@@ -67,8 +67,7 @@ from .tables import (
 Key = Hashable
 
 
-@dataclass
-class StrictStructure:
+class StrictStructure(Record):
     """A global key set classified by predicates, with one tuple per key."""
 
     schema: Schema
@@ -117,26 +116,26 @@ BUILD_ERRORS = (FoleError, KeyError, ValueError, TypeError, AttributeError)
 
 class Lazy(Mapping):
     """A read-only mapping of the names declared in ``data``: a name's first
-    lookup makes its value by ``make(name, data[name])`` and memoises it.  A
-    make that raises one of ``BUILD_ERRORS`` is kept in ``failed`` and raised
-    again on each later lookup; a failed name, like an undeclared one, is not
-    ``in`` the mapping.  Iteration follows ``data`` and makes every name."""
+    lookup makes its value by ``make(name, data[name])`` and keeps it in
+    ``made``.  A make that raises one of ``BUILD_ERRORS`` is kept in
+    ``failed`` and raised again on each later lookup; a failed name, like an
+    undeclared one, is not ``in`` it.  Iteration follows ``data``, making each."""
 
     def __init__(self, data: Mapping, make: Callable[[Any, Any], Any]):
-        self.data, self._make, self._made = data, make, {}
+        self.data, self._make, self.made = data, make, {}
         self.failed: dict = {}  # name -> the exception its make raised
 
     def __getitem__(self, name):
-        if name not in self._made:
+        if name not in self.made:
             if name in self.failed:
                 raise self.failed[name]
             data = self.data[name]
             try:
-                self._made[name] = self._make(name, data)
+                self.made[name] = self._make(name, data)
             except BUILD_ERRORS as exc:
                 self.failed[name] = exc
                 raise
-        return self._made[name]
+        return self.made[name]
 
     def __contains__(self, name) -> bool:
         if name not in self.data:  # an unhashable name raises, as in a dict
@@ -154,8 +153,7 @@ class Lazy(Mapping):
         return sum(1 for _ in self)
 
 
-@dataclass
-class LaxStructure:
+class LaxStructure(Record):
     """Per-predicate tables over one type domain."""
 
     schema: Schema
@@ -280,8 +278,7 @@ def satisfies_sequent(m: LaxStructure, q: Sequent) -> bool:
     return _interpret(m, q.lhs).tuples <= _interpret(m, q.rhs).tuples
 
 
-@dataclass
-class ConstraintVerdict:
+class ConstraintVerdict(Record):
     constraint: str
     satisfied: bool
     witness: Optional[TableMorphism] = None
@@ -319,8 +316,7 @@ def intent_contains(m: LaxStructure, c: Constraint) -> bool:
 
 # ----------------------------------------------------------------- morphisms
 
-@dataclass
-class LaxStructureMorphism:
+class LaxStructureMorphism(Record):
     """Per-predicate bridges between two lax structures.
 
     ``predicate_map`` sends source-structure predicates to target-structure
@@ -387,8 +383,7 @@ def validate_lax_morphism(lm: LaxStructureMorphism,
                 raise KeyBridgeViolation(r2, k1)
 
 
-@dataclass
-class StrictStructureMorphism:
+class StrictStructureMorphism(Record):
     """Strict morphism data: a global key map plus the shared bridges.
 
     The tuple bridge between universes is derived data and is recomputed

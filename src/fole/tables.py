@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass
 from math import prod
 from typing import Callable, Hashable, Iterable
 
 from .core import (
+    Record,
     Row,
     Signature,
     SignatureMorphism,
@@ -31,8 +31,7 @@ from .errors import NaturalityViolation, SignatureMismatch, UnknownSort
 Key = Hashable
 
 
-@dataclass
-class Table:
+class Table(Record):
     """A finite key set with a tuple assignment over one signature.
 
     ``rows`` preserves insertion order; key order is significant only for
@@ -41,6 +40,10 @@ class Table:
 
     signature: Signature
     rows: dict[Key, Row]
+
+    def __init__(self, signature: Signature, rows: dict[Key, Row]):
+        self.signature = signature
+        self.rows = rows
 
     def keys(self) -> list[Key]:
         return list(self.rows)
@@ -72,10 +75,13 @@ class Table:
                 )
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record, frozen=True):
     signature: Signature
     tuples: frozenset[Row]
+
+    def __init__(self, signature: Signature, tuples: frozenset[Row]):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "tuples", tuples)
 
     @staticmethod
     def of(signature: Signature, tuples) -> "Relation":
@@ -91,8 +97,7 @@ class Relation:
         return len(self.tuples)
 
 
-@dataclass
-class TableMorphism:
+class TableMorphism(Record):
     """A signature morphism plus a contravariant key map.
 
     The source table lives over ``sig_morphism.source`` and the target table

@@ -194,8 +194,11 @@ class Workspace:
         return items[name]
 
     def structure(self, name: str) -> LaxStructure:
-        """Structure ``name`` in lax form, built as its section builds it but
-        with each table built and checked only when first read."""
+        """Structure ``name`` in lax form: the structures section's entry if
+        it has made one, else built as that section builds it but with each
+        table built and checked only when first read."""
+        if name in self.structures.made:
+            return self.structures.made[name].lax
         if name not in self.structures.data:
             raise UnresolvedReference("structure", name)
         return _structure(self, name, self.structures.data[name]).lax
@@ -246,11 +249,10 @@ def _type_domain(ws: Workspace, name: str, data) -> TypeDomain:
 
 
 def _schema(ws: Workspace, name: str, data) -> Schema:
-    return Schema(
-        sorts=_strings(data["sorts"], f"schemas.{name}.sorts"),
-        predicates={r: _signature(sig) for r, sig in data["predicates"].items()},
-        signatures={n: _signature(sig)
-                    for n, sig in data.get("signatures", {}).items()})
+    return Schema(  # sorts, predicates, named signatures
+        _strings(data["sorts"], f"schemas.{name}.sorts"),
+        {r: _signature(sig) for r, sig in data["predicates"].items()},
+        {n: _signature(sig) for n, sig in data.get("signatures", {}).items()})
 
 
 def _sig_morphism(ws: Workspace, name: str, data) -> SignatureMorphism:

@@ -16,7 +16,7 @@ from fole import (Relation, Schema, Signature, SignatureMorphism, SoundLogic,
                   validate_db_morphism, validate_lax_morphism,
                   validate_spec_morphism)
 from fole import logic_db, tables
-from fole.cli import _ordered_tuples, build_parser, main
+from fole.cli import _ordered_tuples, build_parser, cmd_eval, main
 from fole.errors import FoleError, UnresolvedReference
 from fole.workspace import SECTIONS, _shaped, key_name, load_workspace_data
 from generators import (rand_lax_structure, rand_relation, rand_signature,
@@ -715,6 +715,19 @@ class TestOnDemand:
         assert run(["check", "-w", FIXTURE, "structure", "M"]) == \
             (0, "ITEM M: OK\n")
         assert counts == {"Table.validate": 3 + 3, "validate_database": 0}
+
+    def test_eval_after_diagnostics_reuses_the_checked_structure(
+            self, monkeypatch):
+        ws = load_workspace(FIXTURE)
+        expected = io.StringIO()
+        cmd_eval(load_workspace(FIXTURE), "M", "Emp", out=expected)
+        counts = self.count_validators(monkeypatch)
+        assert not ws.diagnostics  # builds and checks every table once
+        built = counts["Table.validate"]
+        out = io.StringIO()
+        assert cmd_eval(ws, "M", "Emp", out=out) == 0
+        assert out.getvalue() == expected.getvalue()
+        assert counts["Table.validate"] == built
 
     def test_unread_bad_table_does_not_stop_eval_or_migrate(self, tmp_path):
         raw = json.load(open(FIXTURE))

@@ -1,20 +1,34 @@
-"""Frozen examples and laws for signatures, type domains, and their morphisms."""
+"""Frozen examples and laws for records, signatures, type domains, and their
+morphisms."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import fole
 from fole import (
+    Bottom,
+    Exists,
+    Relation,
     Signature,
     SignatureMorphism,
+    SoundLogic,
+    Table,
+    Top,
     TypeDomain,
     TypeDomainMorphism,
     check_signature_morphism,
     check_type_domain_morphism,
     classify,
+    db_to_snd,
     enumerate_tuples,
+    load_workspace,
     tuple_along,
 )
+from fole.core import Record
 from fole.errors import InfomorphismViolation, SortMismatch, UnknownSort
 
 from generators import rand_infomorphism, rand_sig_morphism, rand_signature, \
@@ -25,6 +39,7 @@ S2 = Signature.of([("0", "S"), ("1", "S")])
 S1 = Signature.of([("0", "S")])
 T1 = Signature.of([("0", "T")])
 AB = TypeDomain(("S",), {"S": ("a", "b")})
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "workspace.json")
 
 
 class TestClassify:
@@ -49,6 +64,126 @@ class TestClassify:
         rep = classify(td)
         assert rep.separated  # intents {S}, {S,T} differ
         assert not rep.disjoint
+
+
+class Point(Record, frozen=True):
+    x: int
+    y: int = 0
+    unit = "m"  # a class attribute, not a field: it has no annotation
+
+
+class Labelled(Point, uncompared=("label",)):
+    label: str = ""
+
+
+class Box(Record):
+    items: list
+
+    def __post_init__(self):
+        self.items = list(self.items)
+
+
+class Tally(Record):
+    count: int = 0
+
+
+class TestRecord:
+    def test_construction_and_defaults(self):
+        assert Point(1, 2) == Point(x=1, y=2) == Point(2 - 1, y=2)
+        assert Point(1).y == 0 and Point(1) == Point(1, 0)
+        assert (Labelled(1).x, Labelled(1).y, Labelled(1).label) == (1, 0, "")
+        assert repr(Labelled(1, label="a")) == "Labelled(x=1, y=0, label='a')"
+        assert repr(Box([1])) == "Box(items=[1])"
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {}),  # x is missing
+        ((1, 2, 3), {}),  # one positional too many
+        ((1,), {"z": 2}),  # no field z
+        ((1,), {"x": 2}),  # x given twice
+        ((), {"y": 2}),  # x is missing, y is given
+    ])
+    def test_bad_arguments_are_type_errors(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Point(*args, **kwargs)
+
+    def test_written_out_constructors_take_keywords(self):
+        sig = Signature(attrs=("0",), sorts=("S",))
+        assert sig == Signature(("0",), ("S",))
+        assert Relation(signature=sig, tuples=frozenset()) == \
+            Relation(sig, frozenset())
+        assert Table(signature=sig, rows={}) == Table(sig, {})
+        with pytest.raises(TypeError):
+            Signature(("0",))
+
+    def test_post_init_runs_and_is_looked_up_at_call_time(self, monkeypatch):
+        assert Box((1, 2)).items == [1, 2]
+        seen = []
+        monkeypatch.setattr(Box, "__post_init__", lambda box: seen.append(box))
+        box = Box((3,))
+        assert seen == [box] and box.items == (3,)
+
+    def test_sound_logic_post_init_patch_is_seen(self, monkeypatch):
+        """The traced ``logic_db.SoundLogic.init`` span wraps this method."""
+        assert "__post_init__" in vars(SoundLogic)
+        db = load_workspace(FIXTURE).require("database", "DB")
+        seen = []
+        monkeypatch.setattr(SoundLogic, "__post_init__",
+                            lambda logic: seen.append(logic))
+        assert seen == [db_to_snd(db)]
+
+    def test_equality_within_one_class(self):
+        assert Point(1, 2) != Labelled(1, 2) and Labelled(1, 2) != Point(1, 2)
+        assert Point(1) != (1, 0) and Point(1) != Point(2)
+        assert Top(S1) != Bottom(S1) and Top(S1) == Top(S1)
+        assert Box([1]) == Box([1]) and Box([1]) != Box([2])
+
+    def test_uncompared_fields(self):
+        assert Labelled(1, label="a") == Labelled(1, label="b")
+        assert hash(Labelled(1, label="a")) == hash(Labelled(1, label="b"))
+        assert Top(S1, name="n") == Top(S1)
+        assert hash(Top(S1, name="n")) == hash(Top(S1))
+        h = SignatureMorphism.identity(S1)
+        assert Exists(h, Top(S1), name="h") == Exists(h, Top(S1))
+
+    def test_frozen_records_hash_and_refuse_assignment(self):
+        p = Point(1, 2)
+        assert hash(p) == hash(Point(1, 2)) and len({p, Point(1, 2)}) == 1
+        for record, name in ((p, "x"), (p, "z"), (S1, "attrs"),
+                             (Labelled(1), "label"), (Top(S1), "name")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert (p.x, p.y) == (1, 2)
+
+    def test_mutable_records_are_unhashable(self):
+        box = Box([1])
+        box.items = [2]
+        assert box == Box([2])
+        for record in (box, Tally(), Table(S1, {}), AB):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_cached_property_on_a_frozen_record(self):
+        h = SignatureMorphism.identity(S2)
+        fresh = SignatureMorphism.identity(S2)
+        assert h.positions is h.positions == (0, 1)
+        assert "positions" in vars(h) and "positions" not in vars(fresh)
+        assert h == fresh and hash(h) == hash(fresh)
+        assert fresh.project(("a", "b")) == ("a", "b")
+        assert h == fresh and h != SignatureMorphism.identity(S1)
+
+
+def test_cli_import_leaves_out_dataclasses():
+    """Generating record code at import costs each CLI process start-up."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fole.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, fole.cli; "
+         "print(sorted({'dataclasses', 'fole.cli'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['fole.cli']"
 
 
 class TestSignature:
