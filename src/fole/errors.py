@@ -1,28 +1,36 @@
-"""Exception hierarchy shared by every module.
-
-Validators raise the most specific subclass; every one derives from
-``FoleError``.
-"""
+"""Exception hierarchy: validators raise the most specific ``FoleError``."""
 
 
 class FoleError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors.
+
+    A subclass with ``fields`` takes one argument per field, keeps each as an
+    attribute and formats its ``template`` with them. A last field ``detail``
+    may be left out; if given, ``: detail`` is appended. Others take a message.
+    """
+
+    fields: tuple[str, ...] = ()
+    detail = ""
+
+    def __init__(self, *args):
+        names = self.fields
+        if names:
+            if not len(names) - (names[-1] == "detail") <= len(args) <= len(names):
+                raise TypeError(f"{type(self).__name__}{names} got {len(args)} argument(s)")
+            self.__dict__.update(zip(names, args))
+            message = self.template.format_map(vars(self))
+            args = (f"{message}: {self.detail}" if self.detail else message,)
+        super().__init__(*args)
 
 
 class UnknownSort(FoleError):
-    def __init__(self, sort: str):
-        super().__init__(f"unknown sort {sort!r}")
-        self.sort = sort
+    fields = ("sort",)
+    template = "unknown sort {sort!r}"
 
 
 class SortMismatch(FoleError):
-    def __init__(self, index: str, expected: str, found: str):
-        super().__init__(
-            f"sort mismatch at index {index!r}: expected {expected!r}, found {found!r}"
-        )
-        self.index = index
-        self.expected = expected
-        self.found = found
+    fields = ("index", "expected", "found")
+    template = "sort mismatch at index {index!r}: expected {expected!r}, found {found!r}"
 
 
 class SignatureMismatch(FoleError):
@@ -30,43 +38,33 @@ class SignatureMismatch(FoleError):
 
 
 class InfomorphismViolation(FoleError):
-    def __init__(self, sort: str, value: str, direction: str):
-        super().__init__(
-            f"infomorphism condition fails at sort {sort!r}, value {value!r} ({direction})"
-        )
-        self.sort = sort
-        self.value = value
-        self.direction = direction
+    fields = ("sort", "value", "direction")
+    template = "infomorphism condition fails at sort {sort!r}, value {value!r} ({direction})"
 
 
 class NaturalityViolation(FoleError):
-    def __init__(self, key, detail: str = ""):
-        super().__init__(f"naturality fails at key {key!r}" + (f": {detail}" if detail else ""))
-        self.key = key
+    fields = ("key", "detail")
+    template = "naturality fails at key {key!r}"
 
 
 class ParseError(FoleError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
-        self.position = position
+    fields = ("message", "position")
+    template = "{message} (at offset {position})"
 
 
 class UnknownPredicate(FoleError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown predicate {name!r}")
-        self.name = name
+    fields = ("name",)
+    template = "unknown predicate {name!r}"
 
 
 class UnknownMorphism(FoleError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown signature morphism {name!r}")
-        self.name = name
+    fields = ("name",)
+    template = "unknown signature morphism {name!r}"
 
 
 class UnknownSignature(FoleError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown signature {name!r}")
-        self.name = name
+    fields = ("name",)
+    template = "unknown signature {name!r}"
 
 
 class FiberMismatch(FoleError):
@@ -78,52 +76,33 @@ class FlowMismatch(FoleError):
 
 
 class DefiningConditionViolation(FoleError):
-    def __init__(self, key, predicate: str):
-        super().__init__(
-            f"key {key!r} classified by {predicate!r} has an ill-sorted tuple"
-        )
-        self.key = key
-        self.predicate = predicate
+    fields = ("key", "predicate")
+    template = "key {key!r} classified by {predicate!r} has an ill-sorted tuple"
 
 
 class KeyBridgeViolation(FoleError):
-    def __init__(self, predicate: str, key):
-        super().__init__(f"key bridge condition fails at predicate {predicate!r}, key {key!r}")
-        self.predicate = predicate
-        self.key = key
+    fields = ("predicate", "key")
+    template = "key bridge condition fails at predicate {predicate!r}, key {key!r}"
 
 
 class EntityInfomorphismViolation(FoleError):
-    def __init__(self, predicate: str, key):
-        super().__init__(
-            f"entity infomorphism condition fails at predicate {predicate!r}, key {key!r}"
-        )
-        self.predicate = predicate
-        self.key = key
+    fields = ("predicate", "key")
+    template = "entity infomorphism condition fails at predicate {predicate!r}, key {key!r}"
 
 
 class NaturalitySquareViolation(FoleError):
-    def __init__(self, constraint: str, detail: str = ""):
-        super().__init__(
-            f"naturality square fails at constraint {constraint!r}"
-            + (f": {detail}" if detail else "")
-        )
-        self.constraint = constraint
+    fields = ("constraint", "detail")
+    template = "naturality square fails at constraint {constraint!r}"
 
 
 class FunctorialityViolation(FoleError):
-    def __init__(self, what: str, detail: str = ""):
-        super().__init__(f"functoriality fails at {what}" + (f": {detail}" if detail else ""))
-        self.what = what
+    fields = ("what", "detail")
+    template = "functoriality fails at {what}"
 
 
 class Unsatisfied(FoleError):
-    def __init__(self, constraint: str, tuple_):
-        super().__init__(
-            f"constraint {constraint!r} refuted by tuple {tuple_!r}"
-        )
-        self.constraint = constraint
-        self.tuple = tuple_
+    fields = ("constraint", "tuple")
+    template = "constraint {constraint!r} refuted by tuple {tuple!r}"
 
 
 class InternalSatisfactionFailure(FoleError):
@@ -131,10 +110,8 @@ class InternalSatisfactionFailure(FoleError):
 
 
 class UnresolvedReference(FoleError):
-    def __init__(self, kind: str, name: str):
-        super().__init__(f"unresolved {kind} reference {name!r}")
-        self.kind = kind
-        self.name = name
+    fields = ("kind", "name")
+    template = "unresolved {kind} reference {name!r}"
 
 
 class KeyCollision(FoleError):

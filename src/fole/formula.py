@@ -197,13 +197,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, tokens, schema: Schema,
-                 morphisms: Mapping[str, SignatureMorphism],
-                 signatures: Mapping[str, Signature]):
+                 morphisms: Mapping[str, SignatureMorphism]):
         self.tokens = tokens
         self.i = 0
         self.schema = schema
         self.morphisms = morphisms
-        self.signatures = signatures
 
     def peek(self):
         return self.tokens[min(self.i, len(self.tokens) - 1)]
@@ -262,26 +260,21 @@ class _Parser:
                 raise UnknownPredicate(value)
             return Atom(value)
         if kind in _CONSTANTS:
-            if value not in self.signatures:
+            if value not in self.schema.signatures:
                 raise UnknownSignature(value)
-            return _CONSTANTS[kind](self.signatures[value], value)
+            return _CONSTANTS[kind](self.schema.signatures[value], value)
         if kind is None:
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
 def parse_formula(text: str, schema: Schema,
-                  morphisms: Mapping[str, SignatureMorphism] | None = None,
-                  signatures: Mapping[str, Signature] | None = None) -> Formula:
+                  morphisms: Mapping[str, SignatureMorphism] | None = None) -> Formula:
     """Parse the formula DSL; atoms resolve against ``schema``, flow
-    annotations against ``morphisms``, top@/bot@ names against ``signatures``
-    (falling back to the schema's named signatures).  A formula nested more
-    than ``MAX_DEPTH`` levels is a ``ParseError``."""
-    sig_env = dict(schema.signatures)
-    if signatures:
-        sig_env.update(signatures)
-    parser = _Parser(_tokenize(text), schema,
-                     {} if morphisms is None else morphisms, sig_env)
+    annotations against ``morphisms``, top@/bot@ names against the schema's
+    named signatures.  A formula nested more than ``MAX_DEPTH`` levels is a
+    ``ParseError``."""
+    parser = _Parser(_tokenize(text), schema, {} if morphisms is None else morphisms)
     phi = parser.formula(0)
     kind, value, pos = parser.peek()
     if kind is not None:

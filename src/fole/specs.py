@@ -17,6 +17,7 @@ from .structure import (
     ConstraintVerdict,
     LaxStructure,
     check_bridge,
+    interpret_relation,
     satisfies_constraint,
 )
 from .tables import Relation, TableMorphism
@@ -146,7 +147,6 @@ def abstract_table_passage(m: LaxStructure, t: AbstractSpec) -> TablePassage:
     failure = report.first_failure()
     if failure is not None:
         raise Unsatisfied(failure.constraint, failure.violating_tuple)
-    from .structure import interpret_relation  # local to avoid cycle at import
     objects = {r: interpret_relation(m, Atom(r)) for r in t.schema.predicates}
     arrows = {name: report.verdicts[name].witness
               for name in t.constraints}

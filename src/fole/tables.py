@@ -126,9 +126,17 @@ def relation_include(rel: Relation) -> Table:
     return Table(rel.signature, {t: t for t in rel.sorted_tuples()})
 
 
-_BOOLEAN_ARITY = {
-    "meet": 2, "join": 2, "implication": 2, "difference": 2,
-    "negation": 1, "top": 0, "bottom": 0,
+# op -> (arity, set operation on the operands' tuple sets); the operation's
+# first argument yields the fiber's full tuple set, which only top, negation
+# and implication ask for
+_FIBER_OPS: dict[str, tuple[int, Callable[..., frozenset]]] = {
+    "top": (0, lambda top: top()),
+    "bottom": (0, lambda top: frozenset()),
+    "meet": (2, lambda top, a, b: a & b),
+    "join": (2, lambda top, a, b: a | b),
+    "negation": (1, lambda top, a: top() - a),
+    "difference": (2, lambda top, a, b: a - b),
+    "implication": (2, lambda top, a, b: (top() - a) | b),
 }
 
 
@@ -136,31 +144,17 @@ def fiber_boolean(op: str, sig: Signature, td: TypeDomain,
                   lhs: Relation | None = None,
                   rhs: Relation | None = None) -> Relation:
     """Set-theoretic connective semantics inside one signature fiber."""
-    if op not in _BOOLEAN_ARITY:
+    if op not in _FIBER_OPS:
         raise ValueError(f"unknown fiber operation {op!r}")
-    arity = _BOOLEAN_ARITY[op]
+    arity, apply = _FIBER_OPS[op]
     operands = [r for r in (lhs, rhs) if r is not None]
     if len(operands) != arity:
         raise ValueError(f"{op} expects {arity} operand(s), got {len(operands)}")
     for r in operands:
         if r.signature != sig:
             raise SignatureMismatch(f"operand over {r.signature}, expected {sig}")
-
-    if op == "top":
-        return Relation.of(sig, enumerate_tuples(sig, td))
-    if op == "bottom":
-        return Relation.of(sig, ())
-    if op == "meet":
-        return Relation(sig, lhs.tuples & rhs.tuples)
-    if op == "join":
-        return Relation(sig, lhs.tuples | rhs.tuples)
-    top = frozenset(enumerate_tuples(sig, td))
-    if op == "negation":
-        return Relation(sig, top - lhs.tuples)
-    if op == "difference":
-        return Relation(sig, lhs.tuples - rhs.tuples)
-    # implication
-    return Relation(sig, (top - lhs.tuples) | rhs.tuples)
+    return Relation(sig, apply(lambda: frozenset(enumerate_tuples(sig, td)),
+                               *(r.tuples for r in operands)))
 
 
 def _target_tuples_over(h: SignatureMorphism,

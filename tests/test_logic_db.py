@@ -1,6 +1,8 @@
 """Sound logics, databases, conversion passages, and the reflection laws."""
 
+import os
 import random
+import sys
 
 import pytest
 
@@ -37,8 +39,11 @@ from fole.errors import (
     NaturalityViolation,
 )
 from fole.errors import FoleError
+from fole.workspace import load_workspace_data
 from generators import rand_database, rand_logic_morphism_setup, \
     rand_satisfied_pair, rand_type_domain
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SIG1 = Signature.of([("dept", "D")])
 SIG2 = Signature.of([("name", "S"), ("dept", "D")])
@@ -121,6 +126,48 @@ class TestValidateDatabase:
         for _ in range(60):
             td = rand_type_domain(rng)
             validate_database(rand_database(rng, td))
+
+
+def integrity_workspace():
+    """The benchmark's integrity workspace: database DB declares the
+    composite c21 & c10 = c20 over P2 <- P1 <- P0."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from workloads import integrity_workspace as generate
+    finally:
+        sys.path.remove(os.path.join(ROOT, "perfbench"))
+    return generate(random.Random(5), 40)[0]
+
+
+class TestDatabaseComposites:
+    def test_clean_database_loads(self):
+        ws = load_workspace_data(integrity_workspace())
+        assert ws.diagnostics == []
+        validate_database(ws.databases["DB"])
+
+    def test_composite_disagreement_is_reported(self):
+        raw = integrity_workspace()
+        key_maps = raw["databases"]["DB"]["constraintKeyMaps"]
+        rows = raw["databases"]["DB"]["tables"]["P2"]["rows"]
+        # "zzz" is no P0 key, so only the composite check reads it: through
+        # c10 and c21 it reaches one P2 tuple, through c20 another
+        p1_key = next(iter(key_maps["c21"]))
+        reached = rows[key_maps["c21"][p1_key]]
+        key_maps["c10"]["zzz"] = p1_key
+        key_maps["c20"]["zzz"] = next(k for k, t in rows.items() if t != reached)
+        assert [d.error for d in load_workspace_data(raw).diagnostics] == [
+            "FunctorialityViolation: functoriality fails at c21&c10: "
+            "composite disagrees at key 'zzz'"]
+
+    def test_wrong_signature_morphism_rejected(self):
+        db = load_workspace_data(integrity_workspace()).databases["DB"]
+        arrows = dict(db.constraint_morphism)
+        arrows["c20"] = TableMorphism(arrows["c21"].sig_morphism,
+                                      arrows["c20"].key_map)
+        with pytest.raises(FunctorialityViolation) as exc:
+            Database(db.schema, db.type_domain, db.table_of, arrows)
+        assert str(exc.value) == \
+            "functoriality fails at c20: signature morphism disagrees"
 
 
 class TestProjection:

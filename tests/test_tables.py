@@ -275,6 +275,18 @@ class TestFiberBoolean:
             fiber_boolean("meet", S2, AB, Relation.of(S1, []),
                           Relation.of(S2, []))
 
+    @pytest.mark.parametrize("op, operands, error, message", [
+        ("xor", [], ValueError, "unknown fiber operation 'xor'"),
+        ("meet", [S2], ValueError, "meet expects 2 operand(s), got 1"),
+        ("top", [S2], ValueError, "top expects 0 operand(s), got 1"),
+        ("negation", [S1], SignatureMismatch,
+         "operand over (0:S), expected (0:S,1:S)"),
+    ])
+    def test_rejected_call_messages(self, op, operands, error, message):
+        with pytest.raises(error) as exc:
+            fiber_boolean(op, S2, AB, *[Relation.of(s, []) for s in operands])
+        assert str(exc.value) == message
+
     def test_boolean_algebra_laws(self):
         rng = random.Random(7)
         for _ in range(60):
