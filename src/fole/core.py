@@ -13,7 +13,8 @@ from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
-from .errors import InfomorphismViolation, SortMismatch, UnknownSort
+from .errors import (InfomorphismViolation, SignatureMismatch, SortMismatch,
+                     UnknownSort, UnresolvedReference)
 
 Row = tuple  # tuple of value atoms, aligned with a Signature's attrs
 
@@ -81,14 +82,13 @@ class Signature(Record, frozen=True):
         if len(attrs) != len(sorts):
             raise ValueError("attrs and sorts must have equal length")
         if len(set(attrs)) != len(attrs):
-            raise ValueError(f"duplicate attribute names in {attrs}")
+            raise SignatureMismatch(f"duplicate attribute names in {attrs}")
         object.__setattr__(self, "attrs", attrs)
         object.__setattr__(self, "sorts", sorts)
 
     @staticmethod
     def of(pairs: Iterable[tuple[str, str]]) -> "Signature":
-        pairs = list(pairs)
-        return Signature(tuple(a for a, _ in pairs), tuple(s for _, s in pairs))
+        return Signature(*(tuple(zip(*pairs)) or ((), ())))
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(zip(self.attrs, self.sorts))
@@ -196,9 +196,8 @@ class SignatureMorphism(Record, frozen=True):
     @staticmethod
     def of(source: Signature, target: Signature,
            mapping: Mapping[str, str]) -> "SignatureMorphism":
-        return SignatureMorphism(
-            source, target, tuple((a, mapping[a]) for a in source.attrs)
-        )
+        return SignatureMorphism(source, target, tuple(
+            (a, entry(mapping, a, "attribute map")) for a in source.attrs))
 
     @staticmethod
     def identity(sig: Signature) -> "SignatureMorphism":
@@ -238,7 +237,14 @@ class SignatureMorphism(Record, frozen=True):
 
 def pushed_signature(sig: Signature, sort_map: Mapping[str, str]) -> Signature:
     """Apply the sort map to every attribute sort (same attribute names)."""
-    return Signature(sig.attrs, tuple(sort_map[s] for s in sig.sorts))
+    return Signature(sig.attrs, tuple(entry(sort_map, s, "sort map") for s in sig.sorts))
+
+
+def entry(mapping: Mapping, key, kind: str):
+    """``mapping[key]``; a key it lacks is an ``UnresolvedReference`` of ``kind``."""
+    if key not in mapping:
+        raise UnresolvedReference(kind, key)
+    return mapping[key]
 
 
 def check_signature_morphism(h: SignatureMorphism) -> None:

@@ -24,6 +24,7 @@ from .errors import (
     FiberMismatch,
     FlowMismatch,
     ParseError,
+    SignatureMismatch,
     UnknownMorphism,
     UnknownPredicate,
     UnknownSignature,
@@ -43,7 +44,7 @@ class Schema(Record):
         for r, sig in self.predicates.items():
             for s in sig.sorts:
                 if s not in self.sorts:
-                    raise ValueError(f"predicate {r!r} mentions unknown sort {s!r}")
+                    raise SignatureMismatch(f"predicate {r!r} mentions unknown sort {s!r}")
 
     def signature_of(self, predicate: str) -> Signature:
         if predicate not in self.predicates:

@@ -110,10 +110,10 @@ def validate_database(db: Database) -> None:
         composed = _compose_arrows(
             [db.constraint_morphism[p] for p in decl.path]).key_map
         declared = db.constraint_morphism[decl.equals]
-        src_table = db.table_of[db.schema.constraints[decl.equals].source_predicate]
+        rows = db.table_of[db.schema.constraints[decl.equals].source_predicate].rows
         for k, v in declared.key_map.items():
             # exact at the relation level: equal assigned tuples, not key names
-            if src_table.rows[v] != src_table.rows[composed[k]]:
+            if k not in composed or rows.get(v) != rows.get(composed[k]):
                 raise FunctorialityViolation(
                     "&".join(decl.path), f"composite disagrees at key {k!r}"
                 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Record, SignatureMorphism, check_signature_morphism
+from .core import Record, SignatureMorphism, check_signature_morphism, entry
 from .errors import NaturalityViolation, SignatureMismatch, Unsatisfied
 from .formula import Atom, Constraint, Schema
 from .structure import (
@@ -61,7 +61,7 @@ class AbstractSpec(Record):
             check_signature_morphism(c.morphism)
         for decl in self.composites:
             composed = self._compose_path(decl.path)
-            declared = self.constraints[decl.equals]
+            declared = entry(self.constraints, decl.equals, "constraint")
             if (composed.source_predicate != declared.source_predicate
                     or composed.target_predicate != declared.target_predicate
                     or composed.morphism != declared.morphism):
@@ -72,12 +72,14 @@ class AbstractSpec(Record):
 
     def _compose_path(self, path: tuple[str, ...]) -> GeneratingConstraint:
         """Compose constraint arrows listed in diagrammatic order."""
-        first = self.constraints[path[0]]
+        if not path:
+            raise SignatureMismatch("a composite's path is empty")
+        first = entry(self.constraints, path[0], "constraint")
         src = first.source_predicate
         tgt = first.target_predicate
         h = first.morphism
         for name in path[1:]:
-            nxt = self.constraints[name]
+            nxt = entry(self.constraints, name, "constraint")
             if nxt.source_predicate != tgt:
                 raise SignatureMismatch(
                     f"path {path} breaks at {name!r}: expected source "
@@ -163,14 +165,14 @@ def _compose_arrows(path: list[TableMorphism]) -> TableMorphism:
     """Compose tuple-keyed relation morphisms along a diagrammatic path.
 
     Arrow for p: r' -> r maps keys of the r-side table back to the r'-side;
-    the composite therefore chains key maps from the far target back."""
+    the composite chains them from the far target back, leaving out unmapped keys."""
     sig = path[0].sig_morphism
     for arrow in path[1:]:
         sig = sig.then(arrow.sig_morphism)
     last = path[-1]
     key_map = dict(last.key_map)
     for arrow in reversed(path[:-1]):
-        key_map = {k: arrow.key_map[v] for k, v in key_map.items()}
+        key_map = {k: arrow.key_map[v] for k, v in key_map.items() if v in arrow.key_map}
     return TableMorphism(sig, key_map)
 
 
@@ -198,12 +200,12 @@ def validate_spec_morphism(sm: SpecMorphism,
                            t2: AbstractSpec, t1: AbstractSpec) -> None:
     """Check bridge typing and the naturality square on every generator."""
     for r2, sig2 in t2.schema.predicates.items():
-        check_bridge(r2, sig2, sm.sort_map, sm.bridge[r2], t1.schema,
-                     sm.predicate_map[r2])
+        check_bridge(r2, sig2, sm.sort_map, entry(sm.bridge, r2, "bridge"),
+                     t1.schema, entry(sm.predicate_map, r2, "predicate map"))
     for p2_name, c2 in t2.constraints.items():
         if p2_name not in sm.constraint_map:
             raise NaturalityViolation(p2_name, "constraint not mapped")
-        c1 = t1.constraints[sm.constraint_map[p2_name]]
+        c1 = entry(t1.constraints, sm.constraint_map[p2_name], "constraint")
         if (sm.predicate_map[c2.source_predicate] != c1.source_predicate
                 or sm.predicate_map[c2.target_predicate] != c1.target_predicate):
             raise NaturalityViolation(p2_name, "endpoint predicates disagree")

@@ -19,6 +19,7 @@ from .core import (
     TypeDomainMorphism,
     check_signature_morphism,
     check_type_domain_morphism,
+    entry,
     enumerate_tuples,
     is_well_sorted,
     pushed_signature,
@@ -110,16 +111,13 @@ def check_table(r: str, table: Table, schema: Schema, td: TypeDomain) -> Table:
     return table
 
 
-# What making an item or a table raises on bad data: each is recorded.
-BUILD_ERRORS = (FoleError, KeyError, ValueError, TypeError, AttributeError)
-
-
 class Lazy(Mapping):
     """A read-only mapping of the names declared in ``data``: a name's first
     lookup makes its value by ``make(name, data[name])`` and keeps it in
-    ``made``.  A make that raises one of ``BUILD_ERRORS`` is kept in
-    ``failed`` and raised again on each later lookup; a failed name, like an
-    undeclared one, is not ``in`` it.  Iteration follows ``data``, making each."""
+    ``made``.  A ``FoleError`` from ``make`` (bad data; any other error is a
+    bug, and propagates) is kept in ``failed`` and raised again on each later
+    lookup; a failed name, like an undeclared one, is not ``in`` it.
+    Iteration follows ``data``, making each."""
 
     def __init__(self, data: Mapping, make: Callable[[Any, Any], Any]):
         self.data, self._make, self.made = data, make, {}
@@ -132,7 +130,7 @@ class Lazy(Mapping):
             data = self.data[name]
             try:
                 self.made[name] = self._make(name, data)
-            except BUILD_ERRORS as exc:
+            except FoleError as exc:
                 self.failed[name] = exc
                 raise
         return self.made[name]
@@ -142,7 +140,7 @@ class Lazy(Mapping):
             return False
         try:
             self[name]
-        except BUILD_ERRORS:
+        except FoleError:
             return False
         return True
 
@@ -369,10 +367,10 @@ def validate_lax_morphism(lm: LaxStructureMorphism,
     """Check the bridge at every predicate and the key condition at each key."""
     check_type_domain_morphism(lm.td_morphism, m2.type_domain, m1.type_domain)
     for r2, sig2 in m2.schema.predicates.items():
-        r1 = lm.predicate_map[r2]
-        bridge = lm.schema_bridge[r2]
+        r1 = entry(lm.predicate_map, r2, "predicate map")
+        bridge = entry(lm.schema_bridge, r2, "bridge")
         check_bridge(r2, sig2, lm.td_morphism.f, bridge, m1.schema, r1)
-        kappa = lm.key_bridge[r2]
+        kappa = entry(lm.key_bridge, r2, "key bridge")
         t2 = m2.table_of[r2]
         t1 = m1.table_of[r1]
         for k1 in t1.rows:
@@ -401,9 +399,9 @@ def strict_morphism_to_lax(sm: StrictStructureMorphism,
     """Restrict the global key map per predicate, after checking the entity
     infomorphism biconditional."""
     for r2 in m2.schema.predicates:
-        r1 = sm.predicate_map[r2]
+        r1 = entry(sm.predicate_map, r2, "predicate map")
         for k1 in m1.keys:
-            left = (sm.key_map[k1], r2) in m2.classifies
+            left = (entry(sm.key_map, k1, "key map"), r2) in m2.classifies
             right = (k1, r1) in m1.classifies
             if left != right:
                 raise EntityInfomorphismViolation(r2, k1)

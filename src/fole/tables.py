@@ -41,10 +41,6 @@ class Table(Record):
     signature: Signature
     rows: dict[Key, Row]
 
-    def __init__(self, signature: Signature, rows: dict[Key, Row]):
-        self.signature = signature
-        self.rows = rows
-
     def keys(self) -> list[Key]:
         return list(self.rows)
 
@@ -78,10 +74,6 @@ class Table(Record):
 class Relation(Record, frozen=True):
     signature: Signature
     tuples: frozenset[Row]
-
-    def __init__(self, signature: Signature, tuples: frozenset[Row]):
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "tuples", tuples)
 
     @staticmethod
     def of(signature: Signature, tuples) -> "Relation":

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from itertools import repeat
-from typing import Callable, NamedTuple, Optional
+from itertools import chain, repeat
+from typing import Any, Callable, NamedTuple, Optional
 
 from .core import (
     Signature,
@@ -26,6 +26,7 @@ from .core import (
     TypeDomainMorphism,
     check_signature_morphism,
     check_type_domain_morphism,
+    entry,
     pushed_signature,
 )
 from .errors import KeyCollision, ShapeError, UnresolvedReference
@@ -57,14 +58,11 @@ from .structure import (
 from .tables import Table, TableMorphism
 
 
-def _signature(pairs) -> Signature:
-    return Signature.of([(a, s) for a, s in pairs])
-
-
-def _table(data, signature: Signature | None = None) -> Table:
-    sig = _signature(data["signature"]) if "signature" in data else signature
-    rows = {k: tuple(v) for k, v in data["rows"].items()}
-    return Table(sig, rows)
+def _table(data, signature: Signature, path: str) -> Table:
+    """The table at ``path``, its shape walked; its values are left to its check."""
+    rows = _shaped(data, _TABLE, path)["rows"]
+    sig = Signature.of(data["signature"]) if "signature" in data else signature
+    return Table(sig, dict(zip(rows, map(tuple, rows.values()))))
 
 
 def key_name(key) -> str:
@@ -163,11 +161,11 @@ class Workspace:
         self.shape = {}  # ShapeError of the file (key "") and of each section
         raw = _shape(self.shape, "", raw, dict, "workspace") or {}
         for s in SECTIONS.values():
-            items = Lazy({}, partial(s.build, self))
-            for n, d in (_shape(self.shape, s.key, raw.get(s.key, {}), dict,
-                                s.key) or {}).items():
-                if _shape(items.failed, n, d, dict, f"{s.key}.{n}") is not None:
-                    items.data[n] = d
+            found = _shape(self.shape, s.key, raw.get(s.key, {}), dict, s.key)
+            items = Lazy(found or {}, partial(s.make, self))
+            if found and not _fits(dict, found.values()):  # as one column
+                items.data = {n: d for n, d in found.items() if _shape(
+                    items.failed, n, d, dict, f"{s.key}.{n}") is not None}
             setattr(self, s.field, items)
         self.misshapen = bool(self.shape) or any(
             getattr(self, s.field).failed for s in SECTIONS.values())
@@ -194,14 +192,14 @@ class Workspace:
         return items[name]
 
     def structure(self, name: str) -> LaxStructure:
-        """Structure ``name`` in lax form: the structures section's entry if
-        it has made one, else built as that section builds it but with each
-        table built and checked only when first read."""
+        """Structure ``name`` in lax form: the structures section's entry if it
+        has made one, else made as it does, each table built on its first read."""
         if name in self.structures.made:
             return self.structures.made[name].lax
         if name not in self.structures.data:
             raise UnresolvedReference("structure", name)
-        return _structure(self, name, self.structures.data[name]).lax
+        section = SECTIONS["structure"]._replace(build=_structure)
+        return section.make(self, name, self.structures.data[name]).lax
 
 
 def load_workspace(path: str) -> Workspace:
@@ -217,12 +215,65 @@ def load_workspace(path: str) -> Workspace:
 load_workspace_data = Workspace
 
 
-def _shaped(value, kind: type, path: str):
-    """``value`` if it is a ``kind``, else a ``ShapeError`` naming ``path``."""
-    if not isinstance(value, kind):
-        names = {dict: "an object", list: "a list", str: "a string"}
-        raise ShapeError(f"{path}: expected {names[kind]}, "
-                         f"got {names.get(type(value)) or json.dumps(value)}")
+# ------------------------------------------------------------------- shapes
+# A JSON shape is ``str``, ``list`` or ``dict`` (a value of that type, its
+# entries not walked); ``[s]``, a list of values of shape ``s``, or ``(s, s)``,
+# of exactly two; ``Map(s)``, an object of values of shape ``s``; or a dict of
+# an object's keys and their shapes ("k?" may be absent; other keys are ignored).
+
+class Map(NamedTuple):
+    value: Any  # the shape of each value
+
+
+_KINDS = {list: list, tuple: list, Map: dict, dict: dict}
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _fits(shape, column) -> bool:
+    """Whether every value in ``column`` has ``shape``, a level at a time."""
+    cls = shape.__class__
+    if cls is type:
+        return all(map(isinstance, column, repeat(shape)))
+    if not all(map(isinstance, column, repeat(_KINDS[cls]))):
+        return False
+    if cls is dict:  # objects of declared keys: a key at a time
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            values = [d[name] for d in column if name in d]
+            if len(values) < len(column) and name == key \
+                    or values and not _fits(sub, values):
+                return False
+        return True
+    entries = chain.from_iterable(map(dict.values, column) if cls is Map else column)
+    return (cls is not tuple or set(map(len, column)) <= {len(shape)}) and _fits(
+        shape[0], entries if shape[0].__class__ is type else list(entries))
+
+
+def _faults(shape, value, path: str):
+    """The message of each place under ``path`` where ``value`` leaves ``shape``."""
+    cls, kind = shape.__class__, _KINDS.get(shape.__class__, shape)
+    if not isinstance(value, kind) or cls is tuple and len(value) != len(shape):
+        got = (f"a list of {len(value)}" if cls is tuple and type(value) is list
+               else _KIND_NAMES.get(type(value)) or json.dumps(value))
+        kind = f"a list of {len(shape)}" if cls is tuple else _KIND_NAMES[kind]
+        yield f"{path}: expected {kind}, got {got}"
+    elif cls is dict:
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                yield from _faults(sub, value[name], f"{path}.{name}")
+            elif name == key:
+                yield f"{path}: missing key {name!r}"
+    elif cls is not type:
+        for step, v in ([(f".{k}", v) for k, v in value.items()] if cls is Map
+                        else [(f"[{i}]", v) for i, v in enumerate(value)]):
+            yield from _faults(shape[0], v, path + step)
+
+
+def _shaped(value, shape, path: str):
+    """``value`` if it has ``shape``, else a ``ShapeError`` at its first fault."""
+    if not (isinstance(value, shape) if shape.__class__ is type else _fits(shape, [value])):
+        raise ShapeError(next(_faults(shape, value, path)))
     return value
 
 
@@ -234,30 +285,20 @@ def _shape(failed: dict, name: str, *args):
         failed[name] = exc
 
 
-def _strings(values, path: str) -> tuple:
-    """``values``, a list of strings, as a tuple, else a ``ShapeError``
-    naming the path of the list or of its first value that is not one."""
-    for i, v in enumerate(_shaped(values, list, path)):
-        if v.__class__ is not str:
-            _shaped(v, str, f"{path}[{i}]")
-    return tuple(values)
-
-
 def _type_domain(ws: Workspace, name: str, data) -> TypeDomain:
-    return TypeDomain(tuple(data), {
-        x: _strings(vs, f"typeDomains.{name}.{x}") for x, vs in data.items()})
+    return TypeDomain(tuple(data), data)
 
 
 def _schema(ws: Workspace, name: str, data) -> Schema:
     return Schema(  # sorts, predicates, named signatures
-        _strings(data["sorts"], f"schemas.{name}.sorts"),
-        {r: _signature(sig) for r, sig in data["predicates"].items()},
-        {n: _signature(sig) for n, sig in data.get("signatures", {}).items()})
+        tuple(data["sorts"]),
+        {r: Signature.of(sig) for r, sig in data["predicates"].items()},
+        {n: Signature.of(sig) for n, sig in data.get("signatures", {}).items()})
 
 
 def _sig_morphism(ws: Workspace, name: str, data) -> SignatureMorphism:
-    h = SignatureMorphism.of(_signature(data["source"]),
-                             _signature(data["target"]), data["map"])
+    h = SignatureMorphism.of(Signature.of(data["source"]),
+                             Signature.of(data["target"]), data["map"])
     check_signature_morphism(h)
     return h
 
@@ -274,23 +315,20 @@ def _structure(ws: Workspace, name: str, data) -> StructureEntry:
     """Structure ``name``, each table built and checked on its first read."""
     schema = ws.require("schema", data["schema"])
     td = ws.require("typeDomain", data["typeDomain"])
-    if data.get("kind", "lax") == "strict":
+    if data.get("kind") == "strict":
         strict = StrictStructure(
             schema=schema, type_domain=td, keys=tuple(data["keys"]),
-            classifies=frozenset((k, r) for k, r in data["classifies"]),
+            classifies=frozenset(map(tuple, data["classifies"])),
             tuple_of_key={k: tuple(v) for k, v in data["tuples"].items()})
         return StructureEntry(to_lax(strict), strict)
-    path = f"structures.{name}.tables"
-    tables = _shaped(data["tables"], dict, path)
-    for r, tdata in tables.items():
+    tables = data["tables"]
+    for r in tables:
         schema.signature_of(r)  # a table of no predicate fails here
-        rows = _shaped(tdata, dict, f"{path}.{r}")["rows"]
-        _shaped(rows, dict, f"{path}.{r}.rows")
     for r in schema.predicates:
         check_has_table(r, tables)
-    return StructureEntry(LaxStructure(schema, td, Lazy(
-        tables, lambda r, t: check_table(
-            r, _table(t, schema.signature_of(r)), schema, td))))
+    return StructureEntry(LaxStructure(schema, td, Lazy(tables, lambda r, t: check_table(
+        r, _table(t, schema.signature_of(r), f"structures.{name}.tables.{r}"),
+        schema, td))))
 
 
 def _checked_structure(ws: Workspace, name: str, data) -> StructureEntry:
@@ -304,12 +342,10 @@ def _checked_structure(ws: Workspace, name: str, data) -> StructureEntry:
 def _spec(ws: Workspace, name: str, data) -> AbstractSpec:
     schema = ws.require("schema", data["schema"])
     constraints = {}
-    for pname, cdata in data.get("constraints", {}).items():
-        src = schema.signature_of(cdata["sourcePredicate"])
-        tgt = schema.signature_of(cdata["targetPredicate"])
-        h = SignatureMorphism.of(src, tgt, cdata["h"])
-        constraints[pname] = GeneratingConstraint(
-            pname, cdata["sourcePredicate"], cdata["targetPredicate"], h)
+    for pname, c in data.get("constraints", {}).items():
+        src, tgt = c["sourcePredicate"], c["targetPredicate"]
+        constraints[pname] = GeneratingConstraint(pname, src, tgt, SignatureMorphism.of(
+            schema.signature_of(src), schema.signature_of(tgt), c["h"]))
     spec = AbstractSpec(schema, constraints, tuple(
         CompositeDeclaration(tuple(d["path"]), d["equals"])
         for d in data.get("composites", [])))
@@ -320,11 +356,11 @@ def _spec(ws: Workspace, name: str, data) -> AbstractSpec:
 def _database(ws: Workspace, name: str, data) -> Database:
     spec = ws.require("spec", data["schema"])
     td = ws.require("typeDomain", data["typeDomain"])
-    tables = {r: _table(tdata, spec.schema.signature_of(r))
-              for r, tdata in data["tables"].items()}
+    tables = {r: _table(t, spec.schema.signature_of(r), f"databases.{name}.tables.{r}")
+              for r, t in data["tables"].items()}
     return Database(spec, td, tables, {
-        pname: TableMorphism(spec.constraints[pname].morphism, dict(kmap))
-        for pname, kmap in data.get("constraintKeyMaps", {}).items()})
+        p: TableMorphism(entry(spec.constraints, p, "constraint").morphism, dict(kmap))
+        for p, kmap in data.get("constraintKeyMaps", {}).items()})
 
 
 def _spec_morphism(ws: Workspace, name: str, data):
@@ -376,22 +412,51 @@ class Section(NamedTuple):
     key: str  # the top-level JSON key
     field: str  # the ``Workspace`` field holding its items
     build: Callable  # (ws, name, data) -> the item, validated
+    shape: Any  # an item's shape, or a function of the item choosing it
 
+    def make(self, ws: Workspace, name: str, data):
+        """The item ``name``: its shape walked, then built."""
+        shape = self.shape(data) if callable(self.shape) else self.shape
+        return self.build(ws, name, _shaped(data, shape, f"{self.key}.{name}"))
+
+
+_NAMES = Map(str)  # a name map, such as a sort map or a key map
+_SIGNATURE = [(str, str)]  # (attribute, sort) pairs
+_ROWS = Map(list)  # keyed rows; their values are left to the table's check
+_TABLE = {"rows": _ROWS, "signature?": _SIGNATURE}  # walked on a table's first read
+_OVER = {"schema": str, "typeDomain": str}
+_BRIDGED = {"source": str, "target": str, "predicateMap": _NAMES, "bridges": Map(_NAMES)}
+_SPEC_MORPHISM = {**_BRIDGED, "sortMap": _NAMES, "constraintMap?": _NAMES}
+_KEYED = {"typeDomainMorphism": str, "keyBridges": Map(_NAMES)}
+_STRICT = {**_OVER, "keys": [str], "classifies": [(str, str)], "tuples": _ROWS}
+_LAX = {**_OVER, "tables": Map({"rows": dict})}  # the rest of a table: on its first read
+_CONSTRAINT = {"sourcePredicate": str, "targetPredicate": str, "h": _NAMES}
 
 # Every section, in load order: an item refers only to earlier sections.
 SECTIONS = {s.name: s for s in (
-    Section("typeDomain", "typeDomains", "type_domains", _type_domain),
-    Section("schema", "schemas", "schemas", _schema),
-    Section("sigMorphism", "sigMorphisms", "sig_morphisms", _sig_morphism),
-    Section("typeDomainMorphism", "typeDomainMorphisms",
-            "type_domain_morphisms", _td_morphism),
-    Section("structure", "structures", "structures", _checked_structure),
-    Section("spec", "specs", "specs", _spec),
-    Section("database", "databases", "databases", _database),
-    Section("specMorphism", "specMorphisms", "spec_morphisms", _spec_morphism),
+    Section("typeDomain", "typeDomains", "type_domains", _type_domain, Map([str])),
+    Section("schema", "schemas", "schemas", _schema, {
+        "sorts": [str], "predicates": Map(_SIGNATURE), "signatures?": Map(_SIGNATURE)}),
+    Section("sigMorphism", "sigMorphisms", "sig_morphisms", _sig_morphism,
+            {"source": _SIGNATURE, "target": _SIGNATURE, "map": _NAMES}),
+    Section("typeDomainMorphism", "typeDomainMorphisms", "type_domain_morphisms",
+            _td_morphism, {"source": str, "target": str, "sortMap": _NAMES, "valueMap": _NAMES}),
+    Section("structure", "structures", "structures", _checked_structure,
+            lambda d: _STRICT if d.get("kind") == "strict" else _LAX),
+    Section("spec", "specs", "specs", _spec, {
+        "schema": str, "constraints?": Map(_CONSTRAINT),
+        "composites?": [{"path": [str], "equals": str}]}),
+    Section("database", "databases", "databases", _database, {
+        **_OVER, "tables": dict, "constraintKeyMaps?": Map(_NAMES)}),
+    Section("specMorphism", "specMorphisms", "spec_morphisms", _spec_morphism,
+            _SPEC_MORPHISM),
     Section("structureMorphism", "structureMorphisms", "structure_morphisms",
-            _structure_morphism),
-    Section("dbMorphism", "dbMorphisms", "db_morphisms", _db_morphism),
+            _structure_morphism,
+            lambda d: {**_BRIDGED, "typeDomainMorphism": str, "keyMap": _NAMES}
+            if d.get("kind") == "strict" else {**_BRIDGED, **_KEYED}),
+    Section("dbMorphism", "dbMorphisms", "db_morphisms", _db_morphism,
+            lambda d: {"source": str, "target": str, "specMorphism": str, **_KEYED}
+            if isinstance(d.get("specMorphism"), str) else {**_SPEC_MORPHISM, **_KEYED}),
 )}
 
 
@@ -399,7 +464,8 @@ def _bridges(data, schema2: Schema, schema1: Schema,
              sort_map: dict) -> dict[str, SignatureMorphism]:
     return {r2: SignatureMorphism.of(
                 pushed_signature(schema2.signature_of(r2), sort_map),
-                schema1.signature_of(data["predicateMap"][r2]), mapping)
+                schema1.signature_of(entry(data["predicateMap"], r2,
+                                           "predicate map")), mapping)
             for r2, mapping in data["bridges"].items()}
 
 

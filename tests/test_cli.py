@@ -15,7 +15,7 @@ from fole import (Relation, Schema, Signature, SignatureMorphism, SoundLogic,
                   TypeDomain, table_flow_type_domain, validate_database,
                   validate_db_morphism, validate_lax_morphism,
                   validate_spec_morphism)
-from fole import logic_db, tables
+from fole import cli, logic_db, tables
 from fole.cli import _ordered_tuples, build_parser, cmd_eval, main
 from fole.errors import FoleError, UnresolvedReference
 from fole.workspace import SECTIONS, _shaped, key_name, load_workspace_data
@@ -649,8 +649,7 @@ def eager_diagnostics(raw) -> list:
     def attempt(section, name, fn, *args):
         try:
             return fn(*args)
-        except (FoleError, KeyError, ValueError, TypeError,
-                AttributeError) as exc:
+        except FoleError as exc:  # any other exception is a bug
             diagnostics.append((section, name, f"{type(exc).__name__}: {exc}"))
 
     raw = attempt("workspace", "", _shaped, raw, dict, "workspace") or {}
@@ -659,7 +658,7 @@ def eager_diagnostics(raw) -> list:
                         dict, s.key) or {}
         for name, data in [(n, d) for n, d in found.items() if attempt(
                 s.key, n, _shaped, d, dict, f"{s.key}.{n}") is not None]:
-            item = attempt(s.key, name, s.build, Eager(), name, data)
+            item = attempt(s.key, name, s.make, Eager(), name, data)
             if s.name == "structure" and item is not None:
                 item = attempt(s.key, name, validated, item)
             if item is not None:
@@ -776,15 +775,18 @@ class TestOnDemand:
                     "--out", str(tmp_path / "out.json")]) == (2, lines)
 
     @pytest.mark.parametrize("where, value, error", [
-        (("structures", "M", "tables", "Emp", "rows", "k1"), 3, "TypeError"),
-        (("structures", "M", "tables", "Emp", "signature"), "x", "ValueError"),
-    ])
-    def test_read_table_that_raises_a_python_error(self, tmp_path, where,
-                                                   value, error):
-        """A table that eval or migrate reads and that fails to decode or to
-        check with a Python error ends as if its structure failed to load."""
+        (("structures", "M", "tables", "Emp", "rows", "k1"), 3,
+         "structures.M.tables.Emp.rows.k1: expected a list, got 3"),
+        (("structures", "M", "tables", "Emp", "signature"), "x",
+         "structures.M.tables.Emp.signature: expected a list, got a string"),
+    ], ids=["row", "signature"])
+    def test_read_table_of_the_wrong_shape(self, tmp_path, where, value,
+                                           error):
+        """A table that eval or migrate reads and whose row or signature has
+        the wrong JSON shape ends as if its structure failed to load, with a
+        ``ShapeError`` naming the JSON path."""
         path, lines = self.broken(tmp_path, where, value)
-        assert f"ITEM structures/M: FAIL {error}: " in lines
+        assert lines.startswith(f"ITEM structures/M: FAIL ShapeError: {error}\n")
         self.assert_eval_and_migrate_fail(tmp_path, path, lines)
 
     def test_read_structure_over_a_non_string_extent(self, tmp_path):
@@ -1171,6 +1173,32 @@ class TestShapeErrorsExit2:
         assert text.split("\n")[0] == (
             "ITEM typeDomains/A: FAIL ShapeError: "
             "typeDomains.A.S: expected a list, got a string")
+
+
+class TestBugsEndInATraceback:
+    """Bad data is a ``FoleError`` diagnostic; any other exception is a bug
+    in ``fole`` and propagates out of ``main``, even when some unrelated
+    item has a diagnostic to report."""
+
+    @staticmethod
+    def bug(*args, **kwargs):
+        raise TypeError("bug")
+
+    def test_builder_bug(self, monkeypatch):
+        section = SECTIONS["typeDomainMorphism"]
+        monkeypatch.setitem(SECTIONS, "typeDomainMorphism",
+                            section._replace(build=self.bug))
+        with pytest.raises(TypeError, match="^bug$"):
+            main(["check", "-w", FIXTURE, "morphism", "collapse"])
+
+    def test_evaluation_bug_beside_a_bad_item(self, tmp_path, monkeypatch):
+        raw = json.load(open(FIXTURE))
+        raw["dbMorphisms"]["idDB"]["source"] = "nope"
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        monkeypatch.setattr(cli, "interpret_relation", self.bug)
+        with pytest.raises(TypeError, match="^bug$"):
+            main(["eval", "-w", str(path), "-s", "M", "Emp"])
 
 
 class TestKeyCollision:

@@ -29,7 +29,8 @@ from fole import (
     tuple_along,
 )
 from fole.core import Record
-from fole.errors import InfomorphismViolation, SortMismatch, UnknownSort
+from fole.errors import (InfomorphismViolation, SignatureMismatch, SortMismatch,
+                         UnknownSort)
 
 from generators import rand_infomorphism, rand_sig_morphism, rand_signature, \
     rand_type_domain
@@ -192,7 +193,7 @@ class TestSignature:
             Signature.of([("1", "T"), ("0", "S")])
 
     def test_duplicate_attrs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SignatureMismatch, match="duplicate attribute"):
             Signature(("0", "0"), ("S", "S"))
 
 

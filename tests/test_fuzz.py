@@ -1,9 +1,13 @@
 """Fuzzing the CLI: mutated fixture workspaces and mangled argv never end in
-a traceback."""
+a traceback, and every bad input is a ``FoleError`` diagnostic: never one
+named after a Python exception, and a ``ShapeError`` names a JSON path."""
 
+import builtins
 import io
 import json
 import os
+import random
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +57,50 @@ COMMANDS = [
 ]
 
 
+# the names of Python's own exceptions: no diagnostic may carry one
+BUILTIN_ERRORS = {n for n, v in vars(builtins).items()
+                  if isinstance(v, type) and issubclass(v, BaseException)}
+# the code of each diagnostic in CLI output: ERROR lines, the ITEM lines of
+# a failed command and the FAIL lines of check
+CODES = re.compile(r"^(?:ERROR |ITEM \S+: FAIL )(\w+)", re.M)
+SHAPE = re.compile(r"(.*?): (?:missing key '(.*)'|expected (an object|a list"
+                   r"|a string|a list of 2), got .*)")
+STEP = re.compile(r"\.([^.\[]+)|\[(\d+)\]")
+KINDS = {"an object": dict, "a list": list, "a string": str, "a list of 2": list}
+
+
+def at_path(raw, path: str):
+    """The value at a diagnostic's JSON path: "workspace" is the file, else a
+    section key followed by ``.key`` and ``[index]`` steps."""
+    if path == "workspace":
+        return raw
+    section, _, rest = path.partition(".")
+    value = raw[section]
+    rest = "." + rest if rest else ""
+    steps = STEP.findall(rest)
+    assert "".join(f".{k}" if k else f"[{i}]" for k, i in steps) == rest, path
+    for key, index in steps:
+        value = value[key] if key else value[int(index)]
+    return value
+
+
+def assert_sound(raw, errors) -> None:
+    """No diagnostic is named after a Python exception, and each
+    ``ShapeError`` names a place in ``raw`` that is of the wrong JSON type,
+    or an object in it that lacks the key it names."""
+    for error in errors:
+        code, _, message = error.partition(": ")
+        assert code not in BUILTIN_ERRORS, error
+        if code == "ShapeError":
+            path, missing, expected = SHAPE.fullmatch(message).groups()
+            value = at_path(raw, path)
+            if missing is not None:
+                assert isinstance(value, dict) and missing not in value, error
+            else:
+                assert not isinstance(value, KINDS[expected]) or \
+                    expected == "a list of 2" and len(value) != 2, error
+
+
 def mutate(raw, path, kind: str, value, name: str) -> None:
     """Drop the entry at ``path``, or give it a value of another JSON type
     or another name; a path that earlier mutations removed is skipped."""
@@ -93,6 +141,7 @@ def test_main_never_raises(tmp_path_factory, mutation_list, command, edit,
     diagnostics = load_workspace_data(raw).diagnostics
     assert [(d.section, d.name, d.error) for d in diagnostics] == \
         eager_diagnostics(raw)
+    assert_sound(raw, [d.error for d in diagnostics])
     tmp = tmp_path_factory.mktemp("fuzz")
     ws_path = tmp / "ws.json"
     ws_path.write_text(json.dumps(raw), encoding="utf-8")
@@ -111,7 +160,32 @@ def test_main_never_raises(tmp_path_factory, mutation_list, command, edit,
     except SystemExit as exc:  # argparse's own exit on argv it rejects
         code = exc.code
     assert code in (0, 1, 2)
+    assert not BUILTIN_ERRORS & set(CODES.findall(out.getvalue()))
     if code == 2 and out.getvalue().startswith("ITEM "):
         # a failed command reports every diagnostic, in load order
         assert out.getvalue() == "".join(
             f"ITEM {d.section}/{d.name}: FAIL {d.error}\n" for d in diagnostics)
+
+
+def test_seeded_mutation_sweep(tmp_path):
+    """1200 seeded mutants, each of one to three mutations: the loader's
+    diagnostics are sound and those of an eager load, and a command over
+    the mutant ends in a report, never in a traceback."""
+    ws_path = tmp_path / "ws.json"
+    for seed in range(1200):
+        rng = random.Random(seed)
+        raw = json.loads(json.dumps(RAW))
+        for _ in range(rng.randint(1, 3)):
+            mutate(raw, rng.choice(PATHS), rng.choice(["drop", "swap", "reference"]),
+                   rng.choice(VALUES), rng.choice(NAMES))
+        errors = [d.error for d in load_workspace_data(raw).diagnostics]
+        assert errors == [e for _, _, e in eager_diagnostics(raw)]
+        assert_sound(raw, errors)
+        ws_path.write_text(json.dumps(raw), encoding="utf-8")
+        command = COMMANDS[seed % len(COMMANDS)]
+        argv = [command[0], "-w", str(ws_path)] + command[1:]
+        if command[0] in ("convert", "migrate"):
+            argv += ["--out", str(tmp_path / "out.json")]
+        out = io.StringIO()
+        assert main(argv, out=out) in (0, 1, 2)
+        assert not BUILTIN_ERRORS & set(CODES.findall(out.getvalue()))

@@ -159,6 +159,16 @@ class TestDatabaseComposites:
             "FunctorialityViolation: functoriality fails at c21&c10: "
             "composite disagrees at key 'zzz'"]
 
+    def test_entry_only_the_declared_map_has_is_reported(self):
+        """A key-map entry for a key the target table lacks, in the declared
+        map of a composite only, is a disagreement the check names."""
+        raw = integrity_workspace()
+        raw["databases"]["DB"]["constraintKeyMaps"]["c20"]["zzz"] = next(
+            iter(raw["databases"]["DB"]["tables"]["P2"]["rows"]))
+        assert [d.error for d in load_workspace_data(raw).diagnostics] == [
+            "FunctorialityViolation: functoriality fails at c21&c10: "
+            "composite disagrees at key 'zzz'"]
+
     def test_wrong_signature_morphism_rejected(self):
         db = load_workspace_data(integrity_workspace()).databases["DB"]
         arrows = dict(db.constraint_morphism)
@@ -315,7 +325,7 @@ def break_logic_morphism(lm, rng: random.Random, kind: str) -> bool:
 def outcome(fn, *args):
     try:
         return fn(*args).key_bridge
-    except (FoleError, KeyError) as exc:
+    except FoleError as exc:
         return type(exc)
 
 
