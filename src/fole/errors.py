@@ -90,11 +90,6 @@ class EntityInfomorphismViolation(FoleError):
     template = "entity infomorphism condition fails at predicate {predicate!r}, key {key!r}"
 
 
-class NaturalitySquareViolation(FoleError):
-    fields = ("constraint", "detail")
-    template = "naturality square fails at constraint {constraint!r}"
-
-
 class FunctorialityViolation(FoleError):
     fields = ("what", "detail")
     template = "functoriality fails at {what}"

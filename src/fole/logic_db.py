@@ -20,13 +20,11 @@ from .core import (
 from .errors import (
     FunctorialityViolation,
     InternalSatisfactionFailure,
-    NaturalitySquareViolation,
     SignatureMismatch,
 )
 from .specs import (
     AbstractSpec,
     SpecMorphism,
-    _compose_arrows,
     satisfies_spec,
     validate_spec_morphism,
 )
@@ -47,13 +45,15 @@ Key = Hashable
 
 
 class SoundLogic(Record):
-    """Structure + specification, with satisfaction decided at construction;
-    the loader or a ``Database`` has validated both parts already."""
+    """Structure + specification over one schema, with satisfaction decided
+    at construction; the loader or a ``Database`` has validated both parts."""
 
     structure: LaxStructure
     spec: AbstractSpec
 
     def __post_init__(self):
+        if self.structure.schema != self.spec.schema:
+            raise SignatureMismatch("structure and spec are over different schemas")
         report = satisfies_spec(self.structure, self.spec)
         if not report.satisfied:
             failure = report.first_failure()
@@ -95,7 +95,11 @@ class DatabaseProjection(NamedTuple):
 
 
 def validate_database(db: Database) -> None:
-    """Check typing, per-constraint naturality, and declared composites."""
+    """Check typing and per-constraint naturality, with exact key maps.
+
+    Declared composites follow, as the spec checks ``h_decl = h_path``: at each
+    key ``k`` of the end table T, ``rows_S[declared[k]] = h_decl(rows_T[k]) =
+    h_path(rows_T[k]) = rows_S[composed[k]]``, where S is the start table."""
     db.schema.validate()
     db.structure.validate()
     for name, c in db.schema.constraints.items():
@@ -106,17 +110,6 @@ def validate_database(db: Database) -> None:
             raise FunctorialityViolation(name, "signature morphism disagrees")
         check_table_morphism(tm, db.table_of[c.source_predicate],
                              db.table_of[c.target_predicate])
-    for decl in db.schema.composites:
-        composed = _compose_arrows(
-            [db.constraint_morphism[p] for p in decl.path]).key_map
-        declared = db.constraint_morphism[decl.equals]
-        rows = db.table_of[db.schema.constraints[decl.equals].source_predicate].rows
-        for k, v in declared.key_map.items():
-            # exact at the relation level: equal assigned tuples, not key names
-            if k not in composed or rows.get(v) != rows.get(composed[k]):
-                raise FunctorialityViolation(
-                    "&".join(decl.path), f"composite disagrees at key {k!r}"
-                )
 
 
 def db_project(db: Database) -> DatabaseProjection:
@@ -190,25 +183,14 @@ class DatabaseMorphism(Record):
 
 
 def validate_db_morphism(dm: DatabaseMorphism, db2: Database, db1: Database) -> None:
-    """Check the pointwise key condition and the per-constraint naturality
-    square at the relation level."""
+    """Check the spec morphism and the key condition, with exact key bridges.
+
+    Naturality squares follow: at each key ``k1`` of ``c1``'s target table, the
+    rows of ``kappa_src[k1_map[k1]]`` and ``k2_map[kappa_tgt[k1]]`` both read
+    ``g(rows1[k1])`` through ``bridge_tgt o h2 = h1 o bridge_src``, a square
+    that ``validate_spec_morphism`` checks."""
     validate_spec_morphism(dm.spec_morphism, db2.schema, db1.schema)
     validate_lax_morphism(_db_mor_to_lax(dm), db2.structure, db1.structure)
-    for p2_name, c2 in db2.schema.constraints.items():
-        p1_name = dm.spec_morphism.constraint_map[p2_name]
-        c1 = db1.schema.constraints[p1_name]
-        k2_map = db2.constraint_morphism[p2_name].key_map
-        k1_map = db1.constraint_morphism[p1_name].key_map
-        kappa_src = dm.key_bridge[c2.source_predicate]
-        kappa_tgt = dm.key_bridge[c2.target_predicate]
-        src_table = db2.table_of[c2.source_predicate]
-        tgt_keys = db1.table_of[c1.target_predicate].rows
-        for k1 in tgt_keys:
-            left = kappa_src[k1_map[k1]]
-            right = k2_map[kappa_tgt[k1]]
-            # relation-level comparison: the assigned tuples must agree
-            if src_table.rows[left] != src_table.rows[right]:
-                raise NaturalitySquareViolation(p2_name, f"at key {k1!r}")
 
 
 def _db_mor_to_lax(dm: DatabaseMorphism) -> LaxStructureMorphism:

@@ -165,14 +165,14 @@ def _compose_arrows(path: list[TableMorphism]) -> TableMorphism:
     """Compose tuple-keyed relation morphisms along a diagrammatic path.
 
     Arrow for p: r' -> r maps keys of the r-side table back to the r'-side;
-    the composite chains them from the far target back, leaving out unmapped keys."""
+    the composite chains them from the far target back."""
     sig = path[0].sig_morphism
     for arrow in path[1:]:
         sig = sig.then(arrow.sig_morphism)
     last = path[-1]
     key_map = dict(last.key_map)
     for arrow in reversed(path[:-1]):
-        key_map = {k: arrow.key_map[v] for k, v in key_map.items() if v in arrow.key_map}
+        key_map = {k: arrow.key_map[v] for k, v in key_map.items()}
     return TableMorphism(sig, key_map)
 
 

@@ -7,7 +7,7 @@ tables (keyed semantics); the two agree through ``table_image``.
 
 from __future__ import annotations
 
-from collections.abc import Container, Mapping
+from collections.abc import Collection, Mapping
 from typing import Any, Callable, Hashable, Optional
 
 from .core import (
@@ -90,10 +90,14 @@ def validate_strict(m: StrictStructure) -> None:
             raise DefiningConditionViolation(k, r)
 
 
-def check_has_table(r: str, tables: Container[str]) -> None:
-    """Predicate ``r`` names a table in ``tables``."""
-    if r not in tables:
-        raise SignatureMismatch(f"no table for predicate {r!r}")
+def check_tables_for(schema: Schema, tables: Collection[str]) -> None:
+    """Each of ``tables`` names a predicate of ``schema`` (the first that does
+    not is an ``UnknownPredicate``), and each predicate names one of them."""
+    for r in tables:
+        schema.signature_of(r)
+    for r in schema.predicates:
+        if r not in tables:
+            raise SignatureMismatch(f"no table for predicate {r!r}")
 
 
 def check_table(r: str, table: Table, schema: Schema, td: TypeDomain) -> Table:
@@ -159,12 +163,12 @@ class LaxStructure(Record):
     table_of: Mapping[str, Table]
 
     def validate(self) -> None:
-        """The full check of plain-dict tables, predicate by predicate in
-        schema order: it has a table, which passes ``check_table``.  A
-        ``Lazy`` family checks each table on its first lookup instead: looking
-        up every predicate is its full check, and the loader never calls this."""
+        """The full check of plain-dict tables: ``check_tables_for``, then
+        ``check_table`` predicate by predicate in schema order.  A ``Lazy``
+        family checks each table on its first lookup instead: looking up
+        every predicate is its full check, and the loader never calls this."""
+        check_tables_for(self.schema, self.table_of)
         for r in self.schema.predicates:
-            check_has_table(r, self.table_of)
             check_table(r, self.table_of[r], self.schema, self.type_domain)
 
 
@@ -364,7 +368,8 @@ def check_bridge(r2: str, sig2: Signature, sort_map: Mapping[str, str],
 
 def validate_lax_morphism(lm: LaxStructureMorphism,
                           m2: LaxStructure, m1: LaxStructure) -> None:
-    """Check the bridge at every predicate and the key condition at each key."""
+    """Check the bridge at every predicate and the key condition at each key;
+    a key bridge is exact: it maps the keys of ``m1``'s table and no other."""
     check_type_domain_morphism(lm.td_morphism, m2.type_domain, m1.type_domain)
     for r2, sig2 in m2.schema.predicates.items():
         r1 = entry(lm.predicate_map, r2, "predicate map")
@@ -379,6 +384,8 @@ def validate_lax_morphism(lm: LaxStructureMorphism,
             expected = lm.td_morphism.map_row(tuple_along(bridge, t1.rows[k1]))
             if t2.rows[kappa[k1]] != expected:
                 raise KeyBridgeViolation(r2, k1)
+        if len(kappa) != len(t1.rows):
+            raise KeyBridgeViolation(r2, next(k for k in kappa if k not in t1.rows))
 
 
 class StrictStructureMorphism(Record):

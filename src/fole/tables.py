@@ -247,13 +247,15 @@ def table_substitution(h: SignatureMorphism, table: Table,
 
 
 def check_table_morphism(m: TableMorphism, src: Table, tgt: Table) -> None:
-    """Check naturality: source tuples agree with precomposed target tuples."""
+    """Check naturality: source tuples agree with precomposed target tuples,
+    and the key map is exact: it maps the target table's keys and no other."""
     h = m.sig_morphism
     if src.signature != h.source or tgt.signature != h.target:
         raise SignatureMismatch("table morphism signatures do not line up")
-    # in bulk; the loop below runs only to name the first bad key
+    # in bulk; the loops below run only to name the first bad key
     with suppress(KeyError, IndexError, TypeError):
-        if list(map(h.project, tgt.rows.values())) == list(map(
+        if len(m.key_map) == len(tgt.rows) and list(map(
+                h.project, tgt.rows.values())) == list(map(
                 src.rows.__getitem__, map(m.key_map.__getitem__, tgt.rows))):
             return
     for k in tgt.rows:
@@ -264,6 +266,9 @@ def check_table_morphism(m: TableMorphism, src: Table, tgt: Table) -> None:
             raise NaturalityViolation(k, f"mapped key {k_src!r} missing in source")
         if src.rows[k_src] != tuple_along(h, tgt.rows[k]):
             raise NaturalityViolation(k)
+    for k in m.key_map:
+        if k not in tgt.rows:
+            raise NaturalityViolation(k, "not a key of the target table")
 
 
 def key_equivalent(t1: Table, t2: Table) -> bool:

@@ -49,8 +49,8 @@ from .structure import (
     Lazy,
     StrictStructure,
     StrictStructureMorphism,
-    check_has_table,
     check_table,
+    check_tables_for,
     strict_morphism_to_lax,
     to_lax,
     validate_lax_morphism,
@@ -322,10 +322,7 @@ def _structure(ws: Workspace, name: str, data) -> StructureEntry:
             tuple_of_key={k: tuple(v) for k, v in data["tuples"].items()})
         return StructureEntry(to_lax(strict), strict)
     tables = data["tables"]
-    for r in tables:
-        schema.signature_of(r)  # a table of no predicate fails here
-    for r in schema.predicates:
-        check_has_table(r, tables)
+    check_tables_for(schema, tables)
     return StructureEntry(LaxStructure(schema, td, Lazy(tables, lambda r, t: check_table(
         r, _table(t, schema.signature_of(r), f"structures.{name}.tables.{r}"),
         schema, td))))

@@ -974,6 +974,24 @@ class TestConvert:
         assert set(db.table_of["Emp"].rows.values()) == \
             {("ann", "hr"), ("bob", "hr")}
 
+    def test_snd_to_db_over_another_schema_is_an_error(self, tmp_path):
+        """A sound logic is a structure and a spec over one schema: a spec
+        over a wider schema ends ``snd-to-db`` in one ERROR line, while
+        ``spec-sat`` still decides the spec's constraints on the structure."""
+        raw = json.load(open(FIXTURE))
+        big = raw["schemas"]["Big"] = json.loads(json.dumps(raw["schemas"]["Company"]))
+        big["predicates"]["Extra"] = [["dept", "D"]]
+        raw["specs"]["BigSpec"] = {**raw["specs"]["FK"], "schema": "Big"}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(raw))
+        assert run(["convert", "-w", str(path), "snd-to-db", "M:BigSpec",
+                    "--out", str(tmp_path / "o.json")]) == (
+            2, "ERROR SignatureMismatch: structure and spec are over different "
+               "schemas\n")
+        assert not (tmp_path / "o.json").exists()
+        assert run(["check", "-w", str(path), "spec-sat", "M", "BigSpec"]) == (
+            0, "ITEM BigSpec.empDept: OK\n")
+
     def test_db_image_idempotent_on_disk(self, tmp_path):
         out1 = tmp_path / "img1.json"
         out2 = tmp_path / "img2.json"

@@ -35,11 +35,6 @@ CASES = [
     ("EntityInfomorphismViolation", ("Emp", ("a", "b")),
      "entity infomorphism condition fails at predicate 'Emp', key ('a', 'b')",
      {"predicate": "Emp", "key": ("a", "b")}),
-    ("NaturalitySquareViolation", ("c1",),
-     "naturality square fails at constraint 'c1'", {"constraint": "c1"}),
-    ("NaturalitySquareViolation", ("c1", "at key 'k'"),
-     "naturality square fails at constraint 'c1': at key 'k'",
-     {"constraint": "c1"}),
     ("FunctorialityViolation", ("c21&c10",), "functoriality fails at c21&c10",
      {"what": "c21&c10"}),
     ("FunctorialityViolation", ("c21&c10", "composite disagrees at key 'zzz'"),
@@ -70,8 +65,7 @@ ARITY = {
     "ParseError": (2, 2), "UnknownPredicate": (1, 1),
     "UnknownMorphism": (1, 1), "UnknownSignature": (1, 1),
     "DefiningConditionViolation": (2, 2), "KeyBridgeViolation": (2, 2),
-    "EntityInfomorphismViolation": (2, 2),
-    "NaturalitySquareViolation": (1, 2), "FunctorialityViolation": (1, 2),
+    "EntityInfomorphismViolation": (2, 2), "FunctorialityViolation": (1, 2),
     "Unsatisfied": (2, 2), "UnresolvedReference": (2, 2),
 }
 
@@ -89,7 +83,7 @@ def test_every_class_is_pinned():
     classes = {name for name, value in vars(errors).items()
                if isinstance(value, type) and issubclass(value, errors.FoleError)}
     assert classes == {c[0] for c in CASES}
-    assert set(ARITY) <= classes and len(ARITY) == 15
+    assert set(ARITY) <= classes and len(ARITY) == 14
 
 
 def test_empty_base_error_keeps_no_args():

@@ -1,10 +1,14 @@
 """Sound logics, databases, conversion passages, and the reflection laws."""
 
+import functools
+import json
 import os
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fole import (
     AbstractSpec,
@@ -16,9 +20,11 @@ from fole import (
     Signature,
     SignatureMorphism,
     SoundLogic,
+    SpecMorphism,
     Table,
     TableMorphism,
     TypeDomain,
+    TypeDomainMorphism,
     db_image,
     db_mor_to_snd_mor,
     db_project,
@@ -37,6 +43,8 @@ from fole.errors import (
     FunctorialityViolation,
     InternalSatisfactionFailure,
     NaturalityViolation,
+    SignatureMismatch,
+    UnknownPredicate,
 )
 from fole.errors import FoleError
 from fole.workspace import load_workspace_data
@@ -44,6 +52,7 @@ from generators import rand_database, rand_logic_morphism_setup, \
     rand_satisfied_pair, rand_type_domain
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURE = os.path.join(ROOT, "tests", "fixtures", "workspace.json")
 
 SIG1 = Signature.of([("dept", "D")])
 SIG2 = Signature.of([("name", "S"), ("dept", "D")])
@@ -89,6 +98,15 @@ class TestSoundLogic:
                 FK,
             )
 
+    def test_structure_over_another_schema_rejected(self):
+        other = Schema(sorts=SCHEMA.sorts, predicates={**SCHEMA.predicates,
+                                                       "Extra": SIG1})
+        m = fixture_logic().structure
+        tables = {**m.table_of, "Extra": m.table_of["Dept"]}
+        with pytest.raises(SignatureMismatch) as exc:
+            SoundLogic(LaxStructure(other, TD, tables), FK)
+        assert str(exc.value) == "structure and spec are over different schemas"
+
 
 class TestValidateDatabase:
     def test_fixture_accepts(self):
@@ -115,6 +133,22 @@ class TestValidateDatabase:
         with pytest.raises(NaturalityViolation):
             validate_database(db)
 
+    def test_table_for_no_predicate_rejected(self):
+        """Both constructors reject a table of no predicate, as the loader
+        does."""
+        db = fixture_database()
+        tables = {**db.table_of, "Junk": db.table_of["Dept"]}
+        with pytest.raises(UnknownPredicate) as exc:
+            LaxStructure(SCHEMA, TD, tables).validate()
+        assert str(exc.value) == "unknown predicate 'Junk'"
+        with pytest.raises(UnknownPredicate) as exc:
+            Database(db.schema, db.type_domain, tables, db.constraint_morphism)
+        assert str(exc.value) == "unknown predicate 'Junk'"
+        raw = json.load(open(FIXTURE))
+        raw["databases"]["DB"]["tables"]["Junk"] = raw["databases"]["DB"]["tables"]["Dept"]
+        assert load_workspace_data(raw).diagnostics[0].error == \
+            "UnknownPredicate: unknown predicate 'Junk'"
+
     def test_missing_constraint_morphism_rejected(self):
         db = fixture_database()
         db.constraint_morphism = {}
@@ -139,6 +173,10 @@ def integrity_workspace():
     return generate(random.Random(5), 40)[0]
 
 
+JUNK = ("NaturalityViolation: naturality fails at key 'zzz': "
+        "not a key of the target table")
+
+
 class TestDatabaseComposites:
     def test_clean_database_loads(self):
         ws = load_workspace_data(integrity_workspace())
@@ -146,28 +184,37 @@ class TestDatabaseComposites:
         validate_database(ws.databases["DB"])
 
     def test_composite_disagreement_is_reported(self):
+        """A composite can disagree with its declared constraint only at a
+        key the target table lacks: the key-map check of the first
+        constraint whose map holds it names it."""
         raw = integrity_workspace()
         key_maps = raw["databases"]["DB"]["constraintKeyMaps"]
         rows = raw["databases"]["DB"]["tables"]["P2"]["rows"]
-        # "zzz" is no P0 key, so only the composite check reads it: through
-        # c10 and c21 it reaches one P2 tuple, through c20 another
+        # "zzz" is no P0 key: through c10 and c21 it reaches one P2 tuple,
+        # through c20 another
         p1_key = next(iter(key_maps["c21"]))
         reached = rows[key_maps["c21"][p1_key]]
         key_maps["c10"]["zzz"] = p1_key
         key_maps["c20"]["zzz"] = next(k for k, t in rows.items() if t != reached)
-        assert [d.error for d in load_workspace_data(raw).diagnostics] == [
-            "FunctorialityViolation: functoriality fails at c21&c10: "
-            "composite disagrees at key 'zzz'"]
+        assert [d.error for d in load_workspace_data(raw).diagnostics] == [JUNK]
 
     def test_entry_only_the_declared_map_has_is_reported(self):
         """A key-map entry for a key the target table lacks, in the declared
-        map of a composite only, is a disagreement the check names."""
+        map of a composite only, is named by that map's check."""
         raw = integrity_workspace()
         raw["databases"]["DB"]["constraintKeyMaps"]["c20"]["zzz"] = next(
             iter(raw["databases"]["DB"]["tables"]["P2"]["rows"]))
-        assert [d.error for d in load_workspace_data(raw).diagnostics] == [
-            "FunctorialityViolation: functoriality fails at c21&c10: "
-            "composite disagrees at key 'zzz'"]
+        assert [d.error for d in load_workspace_data(raw).diagnostics] == [JUNK]
+
+    @pytest.mark.parametrize("constraint", ["c10", "c21"])
+    def test_junk_key_map_entry_is_reported(self, constraint):
+        """An entry for a key the target table lacks, in a map on the
+        composite's path: to a real source key (c10's P1), or to none."""
+        raw = integrity_workspace()
+        key_maps = raw["databases"]["DB"]["constraintKeyMaps"]
+        key_maps[constraint]["zzz"] = \
+            next(iter(key_maps["c21"])) if constraint == "c10" else "nope"
+        assert [d.error for d in load_workspace_data(raw).diagnostics] == [JUNK]
 
     def test_wrong_signature_morphism_rejected(self):
         db = load_workspace_data(integrity_workspace()).databases["DB"]
@@ -343,3 +390,143 @@ def test_assembly_on_broken_morphisms_matches_revalidation(kind):
             assert outcome(snd_mor_to_db_mor, lm, l2, l1) == \
                 outcome(rebuilt_and_revalidated, lm, l2, l1)
     assert broken >= 20
+
+
+# ------------------------------------------- conditions that follow, as oracles
+
+class TestJunkKeyBridges:
+    @pytest.mark.parametrize("section, name", [
+        ("structureMorphisms", "idM"), ("dbMorphisms", "idDB")])
+    def test_junk_key_bridge_entry_is_reported(self, section, name):
+        raw = json.load(open(FIXTURE))
+        raw[section][name]["keyBridges"]["Emp"]["zzz"] = "k1"
+        assert [(d.name, d.error) for d in load_workspace_data(raw).diagnostics] \
+            == [(name, "KeyBridgeViolation: key bridge condition fails at "
+                       "predicate 'Emp', key 'zzz'")]
+
+
+def composites_hold(db: Database) -> bool:
+    """The oracle for declared composites: at each key of a declared map,
+    the path's key maps, followed back from the end table, reach a key with
+    the same tuple (the loop ``validate_database`` ran before key maps were
+    exact)."""
+    for decl in db.schema.composites:
+        rows = db.table_of[db.schema.constraints[decl.equals].source_predicate].rows
+        for k, v in db.constraint_morphism[decl.equals].key_map.items():
+            for p in reversed(decl.path):
+                k = db.constraint_morphism[p].key_map.get(k)
+            if k is None or rows.get(v) != rows.get(k):
+                return False
+    return True
+
+
+def squares_hold(dm: DatabaseMorphism, db2: Database, db1: Database) -> bool:
+    """The oracle for naturality squares: at each key of a constraint's
+    target table in ``db1``, both ways round the square reach keys with the
+    same tuple in ``db2`` (the loop ``validate_db_morphism`` ran before key
+    bridges were exact)."""
+    for p2, c2 in db2.schema.constraints.items():
+        p1 = dm.spec_morphism.constraint_map[p2]
+        k1_map = db1.constraint_morphism[p1].key_map
+        k2_map = db2.constraint_morphism[p2].key_map
+        kappa_src = dm.key_bridge[c2.source_predicate]
+        kappa_tgt = dm.key_bridge[c2.target_predicate]
+        rows = db2.table_of[c2.source_predicate].rows
+        for k1 in db1.table_of[db1.schema.constraints[p1].target_predicate].rows:
+            if rows[kappa_src[k1_map[k1]]] != rows[k2_map[kappa_tgt[k1]]]:
+                return False
+    return True
+
+
+def identity_db_morphism(db: Database) -> DatabaseMorphism:
+    return DatabaseMorphism(
+        SpecMorphism.identity(db.schema, db.type_domain.sorts),
+        TypeDomainMorphism.identity(db.type_domain),
+        {r: {k: k for k in t.rows} for r, t in db.table_of.items()})
+
+
+@functools.cache
+def integrity_database() -> Database:
+    """The integrity workspace's database; the tests below never mutate it."""
+    return load_workspace_data(integrity_workspace()).databases["DB"]
+
+
+class TestConditionsThatFollow:
+    """Declared composites and naturality squares follow from exact, natural
+    key maps and key bridges: they hold wherever the checks accept."""
+
+    def test_on_accepted_databases(self):
+        rng = random.Random(113)
+        dbs = [integrity_database()] + [
+            rand_database(rng, rand_type_domain(rng)) for _ in range(60)]
+        assert dbs[0].schema.composites
+        for db in dbs:
+            assert composites_hold(db)
+            dm = identity_db_morphism(db)
+            validate_db_morphism(dm, db, db)
+            assert squares_hold(dm, db, db)
+
+    @pytest.mark.parametrize("kind", ["drop", "redirect", "bridge", "key"])
+    def test_on_accepted_db_morphisms(self, kind):
+        rng = random.Random(f"follow:{kind}")
+        accepted = 0
+        for _ in range(40):
+            lm, l2, l1 = rand_logic_morphism_setup(rng)
+            break_logic_morphism(lm, rng, kind)
+            try:
+                dm = rebuilt_and_revalidated(lm, l2, l1)
+            except FoleError:
+                continue
+            accepted += 1
+            assert squares_hold(dm, snd_to_db(l2), snd_to_db(l1))
+        assert accepted
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(["key map", "identity bridge", "logic bridge"]),
+           st.sampled_from(["drop", "add", "redirect"]), st.randoms())
+    def test_after_one_entry_changes(self, where, change, rng):
+        """Drop, add or redirect one entry of a key map of the integrity
+        database, or of a key bridge of its identity morphism or of a
+        sound-logic morphism's database morphism: an added entry is
+        rejected, and what is accepted keeps its composites and squares.
+        Half the redirects keep the entry's tuple, so some are accepted."""
+        if where == "key map":
+            db = integrity_database()
+            arrows = {p: TableMorphism(a.sig_morphism, dict(a.key_map))
+                      for p, a in db.constraint_morphism.items()}
+            p = rng.choice(sorted(arrows))
+            entries = arrows[p].key_map
+            rows = db.table_of[db.schema.constraints[p].source_predicate].rows
+        else:
+            if where == "identity bridge":
+                db2 = db1 = integrity_database()
+                dm = identity_db_morphism(db1)
+            else:
+                lm, l2, l1 = rand_logic_morphism_setup(rng)
+                dm = snd_mor_to_db_mor(lm, l2, l1)
+                db2, db1 = snd_to_db(l2), snd_to_db(l1)
+            r2 = rng.choice(sorted(dm.key_bridge))
+            entries = dm.key_bridge[r2]
+            rows = db2.table_of[r2].rows
+        if change == "add":
+            entries["zzz"] = rng.choice(sorted(rows) or ["nope"])
+        elif not entries:
+            return
+        elif change == "drop":
+            del entries[rng.choice(sorted(entries))]
+        else:
+            k = rng.choice(sorted(entries))
+            same = sorted(j for j in rows if rows[j] == rows[entries[k]])
+            entries[k] = rng.choice(same if rng.random() < 0.5 else sorted(rows))
+        try:
+            if where == "key map":
+                accepted = Database(db.schema, db.type_domain, db.table_of, arrows)
+            else:
+                validate_db_morphism(dm, db2, db1)
+        except FoleError:
+            return
+        assert change != "add"
+        if where == "key map":
+            assert composites_hold(accepted)
+        else:
+            assert squares_hold(dm, db2, db1)

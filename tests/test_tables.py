@@ -112,7 +112,8 @@ def validate_by_rows(table: Table, td: TypeDomain) -> None:
 
 
 def check_by_rows(m: TableMorphism, src: Table, tgt: Table) -> None:
-    """The oracle: ``check_table_morphism`` as a loop over target keys."""
+    """The oracle: ``check_table_morphism`` as a loop over target keys, then
+    one over the key map's keys."""
     h = m.sig_morphism
     for k in tgt.rows:
         if k not in m.key_map:
@@ -122,6 +123,9 @@ def check_by_rows(m: TableMorphism, src: Table, tgt: Table) -> None:
             raise NaturalityViolation(k, f"mapped key {k_src!r} missing in source")
         if src.rows[k_src] != tuple_along(h, tgt.rows[k]):
             raise NaturalityViolation(k)
+    for k in m.key_map:
+        if k not in tgt.rows:
+            raise NaturalityViolation(k, "not a key of the target table")
 
 
 def outcome(fn, *args):
@@ -173,7 +177,8 @@ def oracle_tables(draw) -> Table:
 def oracle_morphisms(draw):
     """A table morphism with its source and target tables: a projection
     that may merge or drop attributes, a key map that may send several
-    keys to one, and planted faults in the key map and the tables."""
+    keys to one, and planted faults in the key map (a junk entry too) and
+    the tables."""
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
     tgt_sig = Signature.of((str(i), "S") for i in range(draw(st.integers(0, 3))))
     n_src = draw(st.integers(0, 3)) if len(tgt_sig) else 0
@@ -188,8 +193,10 @@ def oracle_morphisms(draw):
     planted(draw, rng, tgt, ["value", "short"])
     planted(draw, rng, src, ["value"])
     for fault in draw(st.lists(st.sampled_from(
-            ["unmapped", "missing", "unhashable"]), max_size=2)):
-        if key_map:
+            ["unmapped", "missing", "unhashable", "junk"]), max_size=2)):
+        if fault == "junk":  # an entry for a key the target table lacks
+            key_map["junk"] = next(iter(src), "nowhere")
+        elif key_map:
             k = sorted(key_map)[draw(st.integers(0, len(key_map) - 1))]
             if fault == "unmapped":
                 del key_map[k]
@@ -234,7 +241,8 @@ class TestFastPathsAgainstRowLoops:
 
     @pytest.mark.parametrize("wanted", [
         "pass", "key not mapped", "missing in source", "naturality fails at",
-        "IndexError", "TypeError", "pass 500", "naturality fails at 500"])
+        "IndexError", "TypeError", "not a key of the target table",
+        "pass 500", "naturality fails at 500"])
     def test_morphisms_reach(self, wanted):
         verdict, _, size = wanted.partition(" 500")
 
