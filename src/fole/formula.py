@@ -53,8 +53,11 @@ class Schema(Record):
 
 
 # ---------------------------------------------------------------- AST nodes
-# Each connective states its DSL keyword or symbol and its fiber operation
-# once; consumers branch once per family and read these class attributes.
+# Three families; consumers branch once per family and read class attributes.
+# Atoms.  The seven fiber connectives, whose operands and result share one
+# fiber: each declares ``operands`` (its operand fields), ``op`` (its
+# ``fiber_boolean`` operation) and its DSL ``keyword`` or ``symbol``.  The
+# flows along a signature morphism: ``keyword``, ``mode`` and ``fibers``.
 
 class Atom(Record, frozen=True):
     predicate: str
@@ -66,6 +69,7 @@ class Constant(Record, frozen=True, uncompared=("name",)):
 
     signature: Signature
     name: str = ""
+    operands = ()
 
 
 class Top(Constant):
@@ -78,7 +82,7 @@ class Bottom(Constant):
 
 class Neg(Record, frozen=True):
     body: "Formula"
-    symbol, op = "~", "negation"
+    symbol, op, operands = "~", "negation", ("body",)
 
 
 class Binary(Record, frozen=True):
@@ -87,6 +91,7 @@ class Binary(Record, frozen=True):
 
     lhs: "Formula"
     rhs: "Formula"
+    operands = ("lhs", "rhs")
 
 
 class Meet(Binary):
@@ -140,17 +145,12 @@ def infer_signature(phi: Formula, schema: Schema) -> Signature:
     """The unique fiber signature of a formula; rejects ill-typed nodes."""
     if isinstance(phi, Atom):
         return schema.signature_of(phi.predicate)
-    if isinstance(phi, Constant):
-        return phi.signature
-    if isinstance(phi, Neg):
-        return infer_signature(phi.body, schema)
-    if isinstance(phi, Binary):
-        ls = infer_signature(phi.lhs, schema)
-        rs = infer_signature(phi.rhs, schema)
-        if ls != rs:
+    if isinstance(phi, (Constant, Neg, Binary)):
+        fibers = [infer_signature(getattr(phi, o), schema) for o in phi.operands]
+        if len(set(fibers)) > 1:
             raise FiberMismatch(f"operands of {phi.symbol} live in different "
-                                f"fibers: {ls} vs {rs}")
-        return ls
+                                f"fibers: {fibers[0]} vs {fibers[1]}")
+        return fibers[0] if fibers else phi.signature
     if isinstance(phi, Flow):
         expected, result = phi.fibers()
         body = infer_signature(phi.body, schema)

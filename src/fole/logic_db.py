@@ -16,6 +16,7 @@ from .core import (
     SignatureMorphism,
     TypeDomain,
     TypeDomainMorphism,
+    entry,
 )
 from .errors import (
     FunctorialityViolation,
@@ -95,12 +96,16 @@ class DatabaseProjection(NamedTuple):
 
 
 def validate_database(db: Database) -> None:
-    """Check typing and per-constraint naturality, with exact key maps.
+    """Check typing and per-constraint naturality, with exact key maps; a key
+    map for no constraint of the spec is an ``UnresolvedReference``, as in
+    the loader.
 
     Declared composites follow, as the spec checks ``h_decl = h_path``: at each
     key ``k`` of the end table T, ``rows_S[declared[k]] = h_decl(rows_T[k]) =
     h_path(rows_T[k]) = rows_S[composed[k]]``, where S is the start table."""
     db.schema.validate()
+    for name in db.constraint_morphism:
+        entry(db.schema.constraints, name, "constraint")
     db.structure.validate()
     for name, c in db.schema.constraints.items():
         tm = db.constraint_morphism.get(name)

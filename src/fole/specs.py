@@ -143,8 +143,13 @@ class TablePassage(Record):
 
 def abstract_table_passage(m: LaxStructure, t: AbstractSpec) -> TablePassage:
     """Build the functor if the spec is satisfied; raise Unsatisfied with the
-    refuting tuple otherwise.  Functoriality on declared composites is exact
-    at the relation level because keys are the tuples themselves."""
+    refuting tuple otherwise.  ``t`` must be validated.
+
+    Functoriality on declared composites follows: the arrow of each
+    constraint ``h`` is the canonical witness ``k -> h.project(k)``, so a
+    path's composite maps ``k`` to ``h_path.project(k)``, which is
+    ``h_decl.project(k)`` because ``AbstractSpec.validate`` checks
+    ``h_decl = h_path``."""
     report = satisfies_spec(m, t)
     failure = report.first_failure()
     if failure is not None:
@@ -152,28 +157,7 @@ def abstract_table_passage(m: LaxStructure, t: AbstractSpec) -> TablePassage:
     objects = {r: interpret_relation(m, Atom(r)) for r in t.schema.predicates}
     arrows = {name: report.verdicts[name].witness
               for name in t.constraints}
-    for decl in t.composites:
-        composed = _compose_arrows([arrows[p] for p in decl.path])
-        declared = arrows[decl.equals]
-        if (composed.sig_morphism != declared.sig_morphism
-                or composed.key_map != declared.key_map):
-            raise Unsatisfied(decl.equals, None)
     return TablePassage(objects, arrows)
-
-
-def _compose_arrows(path: list[TableMorphism]) -> TableMorphism:
-    """Compose tuple-keyed relation morphisms along a diagrammatic path.
-
-    Arrow for p: r' -> r maps keys of the r-side table back to the r'-side;
-    the composite chains them from the far target back."""
-    sig = path[0].sig_morphism
-    for arrow in path[1:]:
-        sig = sig.then(arrow.sig_morphism)
-    last = path[-1]
-    key_map = dict(last.key_map)
-    for arrow in reversed(path[:-1]):
-        key_map = {k: arrow.key_map[v] for k, v in key_map.items()}
-    return TableMorphism(sig, key_map)
 
 
 class SpecMorphism(Record):

@@ -34,9 +34,7 @@ from .errors import (
 )
 from .formula import (
     Atom,
-    Binary,
     Bottom,
-    Constant,
     Constraint,
     Diff,
     Exists,
@@ -194,17 +192,11 @@ def _interpret(m: LaxStructure, phi: Formula) -> Relation:
     td = m.type_domain
     if isinstance(phi, Atom):
         return table_image(m.table_of[phi.predicate])
-    if isinstance(phi, Constant):
-        return fiber_boolean(phi.op, phi.signature, td)
-    if isinstance(phi, Neg):
-        body = _interpret(m, phi.body)
-        return fiber_boolean(phi.op, body.signature, td, body)
-    if isinstance(phi, Binary):
-        lhs = _interpret(m, phi.lhs)
-        return fiber_boolean(phi.op, lhs.signature, td, lhs, _interpret(m, phi.rhs))
     if isinstance(phi, Flow):
         return fiber_flow(phi.mode, phi.morphism, _interpret(m, phi.body), td)
-    raise TypeError(f"not a formula node: {phi!r}")
+    args = [_interpret(m, getattr(phi, o)) for o in phi.operands]
+    return fiber_boolean(phi.op, args[0].signature if args else phi.signature,
+                         td, *args)
 
 
 def interpret_table(m: LaxStructure, phi: Formula) -> Table:

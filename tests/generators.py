@@ -14,6 +14,7 @@ from fole import (
     AbstractSpec,
     Atom,
     Bottom,
+    CompositeDeclaration,
     Constraint,
     Database,
     Diff,
@@ -215,6 +216,31 @@ def rand_spec(rng: random.Random, td: TypeDomain, max_preds=2,
             f"c{tag}_{i}", r_src, r_tgt, h0)
     full = Schema(sorts=td.sorts, predicates=predicates)
     return AbstractSpec(full, constraints)
+
+
+def unit_composite_pair() -> tuple[LaxStructure, AbstractSpec]:
+    """A satisfied (structure, spec) whose spec declares the composite
+    ``q & p = pq`` over Unit <- Dept <- Emp; ``rand_spec`` declares none."""
+    sig0 = Signature((), ())
+    sig1 = Signature.of([("dept", "D")])
+    sig2 = Signature.of([("name", "S"), ("dept", "D")])
+    schema = Schema(sorts=("S", "D"), predicates={
+        "Emp": sig2, "Dept": sig1, "Unit": sig0})
+    spec = AbstractSpec(schema, {
+        "p": GeneratingConstraint("p", "Dept", "Emp", SignatureMorphism.of(
+            sig1, sig2, {"dept": "dept"})),
+        "q": GeneratingConstraint("q", "Unit", "Dept", SignatureMorphism.of(
+            sig0, sig1, {})),
+        "pq": GeneratingConstraint("pq", "Unit", "Emp", SignatureMorphism.of(
+            sig0, sig2, {})),
+    }, composites=(CompositeDeclaration(("q", "p"), "pq"),))
+    td = TypeDomain(("S", "D"), {"S": ("ann", "bob"), "D": ("hr", "it")})
+    m = LaxStructure(schema, td, {
+        "Emp": Table(sig2, {"k1": ("ann", "hr")}),
+        "Dept": Table(sig1, {"d1": ("hr",)}),
+        "Unit": Table(sig0, {"u": ()}),
+    })
+    return m, spec
 
 
 def repair_to_satisfy(rng: random.Random, m: LaxStructure,

@@ -396,6 +396,24 @@ class TestCheck:
         assert code == 0
         assert text.count(": OK") == 5
 
+    def test_db_morphism_with_inline_spec_morphism(self, tmp_path):
+        """A db morphism may state its spec morphism's maps inline instead
+        of naming one; a bad inline bridge is reported like a named one's."""
+        raw = json.load(open(FIXTURE))
+        dm = raw["dbMorphisms"]["idDB"]
+        del dm["specMorphism"]
+        dm.update({k: v for k, v in raw["specMorphisms"]["idFK"].items()
+                   if k not in ("source", "target")})
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        assert run(["check", "-w", str(path), "morphism", "idDB"]) == \
+            (0, "ITEM idDB: OK\n")
+        dm["bridges"]["Emp"]["name"] = "nope"
+        path.write_text(json.dumps(raw))
+        assert run(["check", "-w", str(path), "morphism", "idDB"]) == \
+            (1, "ITEM idDB: FAIL SortMismatch sort mismatch at index 'name': "
+                "expected '<target attribute>', found 'nope'\n")
+
     def test_invalid_db_morphism_reported(self, tmp_path):
         raw = json.load(open(FIXTURE))
         # break the key bridge: d2 holds (it,), not k1's projection target

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fole import (
     Atom,
@@ -36,7 +38,8 @@ from fole.errors import (
     UnknownSignature,
 )
 
-from generators import rand_formula, rand_type_domain
+from fole.formula import Constant, Flow
+from generators import rand_formula, rand_schema, rand_type_domain
 
 SIG1 = Signature.of([("name", "S")])
 SIG2 = Signature.of([("name", "S"), ("dept", "D")])
@@ -129,6 +132,46 @@ class TestParser:
         for text in texts:
             phi = parse_formula(text, SCHEMA, MORPHISMS)
             assert parse_formula(print_formula(phi), SCHEMA, MORPHISMS) == phi
+
+
+@st.composite
+def named_formulas(draw):
+    """(formula, schema, morphisms): a random well-typed formula, any of the
+    11 node classes at each node, whose flow morphisms and ``top@``/``bot@``
+    signatures are registered under fresh names, so that it prints."""
+    rng = draw(st.randoms(use_true_random=False))
+    td = rand_type_domain(rng)
+    schema = rand_schema(rng, td)
+    phi = rand_formula(rng, schema, td, depth=draw(st.integers(0, 4)))
+    signatures, morphisms = {}, {}
+
+    def named(phi):
+        if isinstance(phi, Constant):
+            name = f"s{len(signatures)}"
+            signatures[name] = phi.signature
+            return type(phi)(phi.signature, name)
+        if isinstance(phi, Flow):
+            name = f"h{len(morphisms)}"
+            morphisms[name] = phi.morphism
+            return type(phi)(phi.morphism, named(phi.body), name)
+        if isinstance(phi, Atom):
+            return phi
+        return type(phi)(*[named(getattr(phi, o)) for o in phi.operands])
+
+    phi = named(phi)
+    return phi, Schema(schema.sorts, schema.predicates, signatures), morphisms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(named_formulas())
+def test_print_parse_round_trip_random(case):
+    """``parse(print(phi)) == phi``, names included, and both infer one
+    fiber."""
+    phi, schema, morphisms = case
+    back = parse_formula(print_formula(phi), schema, morphisms)
+    assert back == phi
+    assert print_formula(back) == print_formula(phi)
+    assert infer_signature(back, schema) == infer_signature(phi, schema)
 
 
 class TestNodes:

@@ -25,6 +25,7 @@ from fole import (
     TableMorphism,
     TypeDomain,
     TypeDomainMorphism,
+    abstract_table_passage,
     db_image,
     db_mor_to_snd_mor,
     db_project,
@@ -45,11 +46,12 @@ from fole.errors import (
     NaturalityViolation,
     SignatureMismatch,
     UnknownPredicate,
+    UnresolvedReference,
 )
 from fole.errors import FoleError
 from fole.workspace import load_workspace_data
 from generators import rand_database, rand_logic_morphism_setup, \
-    rand_satisfied_pair, rand_type_domain
+    rand_satisfied_pair, rand_type_domain, unit_composite_pair
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE = os.path.join(ROOT, "tests", "fixtures", "workspace.json")
@@ -148,6 +150,21 @@ class TestValidateDatabase:
         raw["databases"]["DB"]["tables"]["Junk"] = raw["databases"]["DB"]["tables"]["Dept"]
         assert load_workspace_data(raw).diagnostics[0].error == \
             "UnknownPredicate: unknown predicate 'Junk'"
+
+    def test_key_map_for_no_constraint_rejected(self):
+        """The constructor rejects a key map for a constraint the spec lacks,
+        as the loader does."""
+        db = fixture_database()
+        arrows = {**db.constraint_morphism,
+                  "junk": db.constraint_morphism["empDept"]}
+        with pytest.raises(UnresolvedReference) as exc:
+            Database(db.schema, db.type_domain, db.table_of, arrows)
+        assert str(exc.value) == "unresolved constraint reference 'junk'"
+        raw = json.load(open(FIXTURE))
+        raw["databases"]["DB"]["constraintKeyMaps"]["junk"] = {"k1": "d1"}
+        assert load_workspace_data(raw).diagnostics[0] == (
+            "databases", "DB",
+            "UnresolvedReference: unresolved constraint reference 'junk'")
 
     def test_missing_constraint_morphism_rejected(self):
         db = fixture_database()
@@ -438,6 +455,27 @@ def squares_hold(dm: DatabaseMorphism, db2: Database, db1: Database) -> bool:
     return True
 
 
+def passage_composites_hold(m: LaxStructure, spec: AbstractSpec) -> bool:
+    """The oracle for the table passage's declared composites: the path's
+    arrows compose to the declared arrow, on signatures and at each key
+    (the loop ``abstract_table_passage`` ran before it relied on the spec's
+    check)."""
+    arrows = abstract_table_passage(m, spec).arrows
+    for decl in spec.composites:
+        declared = arrows[decl.equals]
+        h = functools.reduce(lambda f, g: f.then(g),
+                             [arrows[p].sig_morphism for p in decl.path])
+        if (h != declared.sig_morphism or arrows[decl.path[-1]].key_map.keys()
+                != declared.key_map.keys()):
+            return False
+        for k, v in declared.key_map.items():
+            for p in reversed(decl.path):
+                k = arrows[p].key_map[k]
+            if k != v:
+                return False
+    return True
+
+
 def identity_db_morphism(db: Database) -> DatabaseMorphism:
     return DatabaseMorphism(
         SpecMorphism.identity(db.schema, db.type_domain.sorts),
@@ -453,7 +491,8 @@ def integrity_database() -> Database:
 
 class TestConditionsThatFollow:
     """Declared composites and naturality squares follow from exact, natural
-    key maps and key bridges: they hold wherever the checks accept."""
+    key maps and key bridges, and the table passage's composites from its
+    canonical arrows: they hold wherever the checks accept."""
 
     def test_on_accepted_databases(self):
         rng = random.Random(113)
@@ -465,6 +504,15 @@ class TestConditionsThatFollow:
             dm = identity_db_morphism(db)
             validate_db_morphism(dm, db, db)
             assert squares_hold(dm, db, db)
+
+    def test_on_table_passages(self):
+        """The integrity workspace's M and Good (c21 & c10 = c20) and a
+        declared composite through a nullary predicate."""
+        ws = load_workspace_data(integrity_workspace())
+        good = ws.specs["Good"]
+        assert good.composites
+        assert passage_composites_hold(ws.structure("M"), good)
+        assert passage_composites_hold(*unit_composite_pair())
 
     @pytest.mark.parametrize("kind", ["drop", "redirect", "bridge", "key"])
     def test_on_accepted_db_morphisms(self, kind):

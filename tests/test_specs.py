@@ -8,8 +8,12 @@ from fole import (
     AbstractSpec,
     Atom,
     CompositeDeclaration,
+    Constraint,
+    Exists,
+    FormalSpec,
     GeneratingConstraint,
     LaxStructure,
+    Meet,
     Schema,
     Signature,
     SignatureMorphism,
@@ -25,12 +29,19 @@ from fole import (
     satisfies_spec,
     validate_spec_morphism,
 )
-from fole.errors import NaturalityViolation, SignatureMismatch, Unsatisfied
+from fole.errors import (
+    FiberMismatch,
+    FlowMismatch,
+    NaturalityViolation,
+    SignatureMismatch,
+    Unsatisfied,
+)
 from generators import (
     rand_lax_structure,
     rand_satisfied_pair,
     rand_spec,
     rand_type_domain,
+    unit_composite_pair,
 )
 
 SIG1 = Signature.of([("dept", "D")])
@@ -132,23 +143,8 @@ class TestTablePassage:
 
     def test_declared_composite_respected(self):
         # chain Dept <- Emp plus an identity-extended arrow, composed exactly
-        sig0 = Signature((), ())
-        schema = Schema(sorts=("S", "D"), predicates={
-            "Emp": SIG2, "Dept": SIG1, "Unit": sig0})
-        h2 = SignatureMorphism.of(sig0, SIG1, {})
-        h_comp = H  # Dept <- Emp
-        comp = SignatureMorphism.of(sig0, SIG2, {})
-        spec = AbstractSpec(schema, {
-            "p": GeneratingConstraint("p", "Dept", "Emp", h_comp),
-            "q": GeneratingConstraint("q", "Unit", "Dept", h2),
-            "pq": GeneratingConstraint("pq", "Unit", "Emp", comp),
-        }, composites=(CompositeDeclaration(("q", "p"), "pq"),))
+        m, spec = unit_composite_pair()
         spec.validate()
-        m = LaxStructure(schema, TD, {
-            "Emp": Table(SIG2, {"k1": ("ann", "hr")}),
-            "Dept": Table(SIG1, {"d1": ("hr",)}),
-            "Unit": Table(sig0, {"u": ()}),
-        })
         passage = abstract_table_passage(m, spec)
         assert passage.arrows["pq"].key_map == {("ann", "hr"): ()}
 
@@ -165,6 +161,32 @@ class TestTablePassage:
         }, composites=(CompositeDeclaration(("q", "p"), "pq"),))
         with pytest.raises(SignatureMismatch):
             spec.validate()
+
+
+class TestFormalSpec:
+    def test_well_typed_constraints_pass(self):
+        FormalSpec(SCHEMA, {
+            "c": Constraint("c", Atom("Dept"), Atom("Emp"), H),
+            "d": Constraint("d", Exists(H, Atom("Emp")), Atom("Emp"), H),
+        }).validate()
+
+    @pytest.mark.parametrize("source, target, error", [
+        (Atom("Emp"), Atom("Emp"), FlowMismatch(
+            "constraint 'c': source fiber (name:S,dept:D) != morphism "
+            "source (dept:D)")),
+        (Atom("Dept"), Atom("Dept"), FlowMismatch(
+            "constraint 'c': target fiber (dept:D) != morphism target "
+            "(name:S,dept:D)")),
+        (Atom("Dept"), Exists(H, Atom("Dept")), FlowMismatch(
+            "exists body over (dept:D), expected (name:S,dept:D)")),
+        (Meet(Atom("Dept"), Atom("Emp")), Atom("Emp"), FiberMismatch(
+            "operands of /\\ live in different fibers: (dept:D) vs "
+            "(name:S,dept:D)")),
+    ])
+    def test_ill_typed_constraint_rejected(self, source, target, error):
+        with pytest.raises(type(error)) as exc:
+            FormalSpec(SCHEMA, {"c": Constraint("c", source, target, H)}).validate()
+        assert str(exc.value) == str(error)
 
 
 class TestSpecMorphism:
