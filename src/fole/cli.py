@@ -173,13 +173,14 @@ def cmd_migrate(ws: Workspace, table_name: str, morphism_name: str,
     struct_name, dot, predicate = table_name.partition(".")
     if not dot:
         raise UnresolvedReference("STRUCTURE.PREDICATE", table_name)
-    tables = ws.structure(struct_name).table_of  # one table is built
-    if predicate not in tables:
+    structure = ws.structure(struct_name)  # one table is built, and checked
+    if predicate not in structure.table_of:
         raise UnresolvedReference("predicate", predicate)
     m, a2_name, a1_name = ws.require("typeDomainMorphism", morphism_name)
     a2 = ws.require("typeDomain", a2_name)
     a1 = ws.require("typeDomain", a1_name)
-    migrated = table_flow_type_domain(direction, m, tables[predicate], a2, a1)
+    migrated = table_flow_type_domain(direction, m, structure.table_of[predicate],
+                                      a2, a1, checked=structure.type_domain)
     target_td, target_name = (a1, a1_name) if direction == "dextro" else (a2, a2_name)
     return _write(out_path, {
         "typeDomains": {target_name: target_td.extents},

@@ -79,9 +79,6 @@ class Relation(Record, frozen=True):
     def of(signature: Signature, tuples) -> "Relation":
         return Relation(signature, frozenset(map(tuple, tuples)))
 
-    def sorted_tuples(self) -> list[Row]:
-        return sorted(self.tuples)
-
     def __contains__(self, t: Row) -> bool:
         return tuple(t) in self.tuples
 
@@ -115,7 +112,7 @@ def table_image(table: Table) -> Relation:
 
 def relation_include(rel: Relation) -> Table:
     """Key a relation by its own tuples; left inverse of table_image."""
-    return Table(rel.signature, {t: t for t in rel.sorted_tuples()})
+    return Table(rel.signature, {t: t for t in sorted(rel.tuples)})
 
 
 # op -> (arity, set operation on the operands' tuple sets); the operation's
@@ -282,7 +279,7 @@ def key_equivalent(t1: Table, t2: Table) -> bool:
 
 
 def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
-                           a2: TypeDomain, a1: TypeDomain) -> Table:
+                           a2: TypeDomain, a1: TypeDomain, checked=None) -> Table:
     """Move a table between type domains along an infomorphism.
 
     dextro takes a table over ``a2`` to one over ``a1`` (signature pushed
@@ -291,18 +288,22 @@ def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
     keys preserved, values pushed along the value map).  ``m`` must be an
     infomorphism from ``a2`` to ``a1``, as the workspace loader checks.
     Each direction checks that the table is well-sorted over its source
-    domain; both outputs are well-sorted by construction, since dextro draws
-    values from ``a1``'s extents and the infomorphism condition carries
-    levo's values into ``a2``'s.
+    domain, unless that is ``checked``: a domain the caller knows the table
+    to be well-sorted over, such as its structure's.  Both outputs are
+    well-sorted by construction: dextro draws values from ``a1``'s extents,
+    and the infomorphism condition carries levo's values into ``a2``'s.
     """
+    if direction not in ("dextro", "levo"):
+        raise ValueError(f"unknown direction {direction!r}")
     f, g = m.f, m.g
-    if direction == "dextro":
-        sig2 = table.signature
-        for x2 in sig2.sorts:
-            if x2 not in f:
-                raise UnknownSort(x2)
-        table.validate(a2)
-        out_sig = pushed_signature(sig2, f)
+    dextro = direction == "dextro"
+    for s in table.signature.sorts:
+        if s not in (f if dextro else a1.sorts):
+            raise UnknownSort(s)
+    if (a2 if dextro else a1) is not checked:
+        table.validate(a2 if dextro else a1)
+    if dextro:
+        out_sig = pushed_signature(table.signature, f)
         # inverse[x1][y2]: the values y1 of sort x1 with g(y1) = y2, in
         # extent order, so each row's pullback is a product of these lists.
         inverse: dict[str, dict[str, list[str]]] = \
@@ -317,25 +318,18 @@ def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
             for t1 in itertools.product(*preimages):
                 rows[(k2, t1)] = t1
         return Table(out_sig, rows)
-    if direction == "levo":
-        sig1 = table.signature
-        for s1 in sig1.sorts:
-            if s1 not in a1.sorts:
-                raise UnknownSort(s1)
-        table.validate(a1)
-        attrs: list[str] = []
-        sorts: list[str] = []
-        picks: list[int] = []  # source position feeding each output attribute
-        for pos, (i, s1) in enumerate(sig1.pairs()):
-            for x2 in a2.sorts:
-                if f[x2] == s1:
-                    attrs.append(f"{i}.{x2}")
-                    sorts.append(x2)
-                    picks.append(pos)
-        out_sig = Signature(tuple(attrs), tuple(sorts))
-        rows = {
-            k: tuple(g[t[pos]] for pos in picks)
-            for k, t in table.rows.items()
-        }
-        return Table(out_sig, rows)
-    raise ValueError(f"unknown direction {direction!r}")
+    attrs: list[str] = []
+    sorts: list[str] = []
+    picks: list[int] = []  # source position feeding each output attribute
+    for pos, (i, s1) in enumerate(table.signature.pairs()):
+        for x2 in a2.sorts:
+            if f[x2] == s1:
+                attrs.append(f"{i}.{x2}")
+                sorts.append(x2)
+                picks.append(pos)
+    out_sig = Signature(tuple(attrs), tuple(sorts))
+    rows = {
+        k: tuple(g[t[pos]] for pos in picks)
+        for k, t in table.rows.items()
+    }
+    return Table(out_sig, rows)

@@ -15,6 +15,7 @@ raised.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from functools import partial
 from itertools import chain, repeat
 from typing import Any, Callable, NamedTuple, Optional
@@ -77,6 +78,8 @@ def key_names(keys) -> list:
         return list(keys)
     if keys[0] and all(map(isinstance, keys, repeat(tuple))) \
             and len(set(map(len, keys))) == 1:
+        with suppress(TypeError):  # from ",".join: a member is not a string
+            return [f"({s})" for s in map(",".join, keys)]
         return [f"({s})" for s in map(",".join, zip(*map(key_names, zip(*keys))))]
     return [f"({','.join(key_names(k))})" if isinstance(k, tuple) else str(k)
             for k in keys]
@@ -85,9 +88,9 @@ def key_names(keys) -> list:
 _ENC = json.encoder.encode_basestring_ascii
 
 
-def _named(mapping: dict) -> tuple[list, list]:
-    """The key names of ``mapping``, sorted, and its values in their order.
-    Two keys with one name raise ``KeyCollision``: JSON keeps only one."""
+def _object(mapping: dict, texts, pad: str) -> str:
+    """``mapping`` at ``pad``: keys by name, sorted, valued by ``texts(values)``.
+    Two keys with one name raise ``KeyCollision``, as JSON keeps only one."""
     names = key_names(list(mapping))
     named = dict(zip(names, mapping.values()))
     if len(named) < len(mapping):
@@ -96,50 +99,62 @@ def _named(mapping: dict) -> tuple[list, list]:
             if first.setdefault(name, k) != k:
                 raise KeyCollision(f"keys {first[name]!r} and {k!r} are both "
                                    f"written as {name!r}")
-    names = sorted(named)
-    return names, list(map(named.__getitem__, names))
+    names, inner = sorted(named), pad + "  "
+    entries = zip(map(_ENC, names), texts(list(map(named.__getitem__, names))))
+    body = ("," + inner).join([f"{n}: {t}" for n, t in entries])
+    return "".join(("{", inner, body, pad, "}")) if names else "{}"
 
 
-def table_to_json(table: Table) -> str:
-    """The table as ``dump_json`` writes it at depth 0, rows sorted by name."""
-    rows = [f"{_ENC(n)}: [\n      " + ",\n      ".join(
-                [_ENC(v) if v.__class__ is str else _render(v, 3) for v in row])
-            + "\n    ]" if row else _ENC(n) + ": []"
-            for n, row in zip(*_named(table.rows))]
-    return _block(['"rows": ' + _block(rows, "{}", 1),
-                   '"signature": ' + _render(table.signature, 1)], "{}", 0)
+def _rows(rows: list, pad: str):
+    """The text of each row at ``pad``; where all values are strings and many
+    rows repeat, of each distinct row once."""
+    try:  # _ENC raises TypeError on a value that is not a string
+        sample = rows[::8]  # whether many rows repeat, at an eighth of the cost
+        distinct = dict.fromkeys(rows) if 2 * len(set(sample)) < len(sample) else rows
+        columns = zip(*map(map, repeat(_ENC), zip(*distinct, strict=True)))
+        texts = [f"[{pad}  {s}{pad}]" for s in map(f",{pad}  ".join, columns)] \
+            or ["[]"] * len(distinct)  # or every row is ()
+    except (TypeError, ValueError):  # or rows of different lengths
+        return [dump_json(row, pad) for row in rows]
+    return texts if distinct is rows else map(dict(zip(distinct, texts)).get, rows)
 
 
-def dump_json(payload) -> str:
-    """Exactly ``json.dumps(payload, indent=2, sort_keys=True)``; the payload
+def table_to_json(table: Table, pad: str = "\n") -> str:
+    """The table as ``dump_json`` writes it at ``pad``, rows sorted by name."""
+    p2 = pad + "  "
+    rows = _object(table.rows, partial(_rows, pad=p2 + "  "), p2)
+    return "".join(("{", p2, '"rows": ', rows, ",", p2, '"signature": ',
+                    dump_json(table.signature, p2), pad, "}"))
+
+
+def dump_json(payload, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(payload, indent=2, sort_keys=True)``, at ``pad``
+    (a newline and the indentation of the line it starts on).  The payload
     may also hold a ``Signature`` (written as its pairs), a ``Table`` (as
     ``table_to_json``) and a ``TableMorphism`` (its key map, by ``key_name``)."""
-    return _render(payload, 0)
+    out = []  # every piece of the text, joined once
+    _render(payload, pad, out)
+    return "".join(out)
 
 
-def _render(obj, depth: int) -> str:
+def _render(obj, pad: str, out: list) -> None:
     if isinstance(obj, Table):
-        return table_to_json(obj).replace("\n", "\n" + "  " * depth)
+        return out.append(table_to_json(obj, pad))
+    if isinstance(obj, TableMorphism):
+        return out.append(_object(obj.key_map, lambda ts: map(_ENC, key_names(ts)), pad))
     if isinstance(obj, Signature):
         obj = obj.pairs()
-    if isinstance(obj, TableMorphism):
-        names, targets = _named(obj.key_map)
-        obj = dict(zip(names, key_names(targets)))
-    if isinstance(obj, dict):
-        return _block([_ENC(k) + ": " + (_ENC(v) if v.__class__ is str
-                                         else _render(v, depth + 1))
-                       for k, v in sorted(obj.items())], "{}", depth)
-    if isinstance(obj, (list, tuple)):
-        return _block([_ENC(v) if v.__class__ is str else _render(v, depth + 1)
-                       for v in obj], "[]", depth)
-    return _ENC(obj) if isinstance(obj, str) else json.dumps(obj)
-
-
-def _block(parts: list, ends: str, depth: int) -> str:
-    if not parts:
-        return ends
-    pad = "\n" + "  " * depth
-    return ends[0] + pad + "  " + ("," + pad + "  ").join(parts) + pad + ends[1]
+    if not obj or not isinstance(obj, (dict, list, tuple)):  # json.dumps: {} and []
+        return out.append(_ENC(obj) if isinstance(obj, str) else json.dumps(obj))
+    keyed, inner = isinstance(obj, dict), pad + "  "
+    if not keyed and all(map(isinstance, obj, repeat(str))):  # one piece, not one per value
+        return out.append(f"[{inner}{(',' + inner).join(map(_ENC, obj))}{pad}]")
+    lead, sep = ("{" if keyed else "[") + inner, "," + inner
+    for v in sorted(obj) if keyed else obj:
+        out.append(f"{lead}{_ENC(v)}: " if keyed else lead)
+        _render(obj[v] if keyed else v, inner, out)
+        lead = sep  # one object, not a new string per entry
+    out.append(pad + ("}" if keyed else "]"))
 
 
 class StructureEntry(NamedTuple):

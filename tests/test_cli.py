@@ -727,11 +727,24 @@ class TestOnDemand:
         out = str(tmp_path / "out.json")
         assert run(["migrate", "-w", FIXTURE, "M.Emp", "collapse", "levo",
                     "--out", out]) == (0, f"WROTE {out}\n")
-        # the flow checks Emp once more, against the morphism's target domain
-        assert counts == {"Table.validate": 1 + 2, "validate_database": 0}
+        # the flow does not check Emp again: its source domain is M's own
+        assert counts == {"Table.validate": 1 + 1, "validate_database": 0}
         assert run(["check", "-w", FIXTURE, "structure", "M"]) == \
             (0, "ITEM M: OK\n")
-        assert counts == {"Table.validate": 3 + 3, "validate_database": 0}
+        assert counts == {"Table.validate": 2 + 3, "validate_database": 0}
+
+    @pytest.mark.parametrize("table, morphism, direction", [
+        ("N.PairC", "collapse", "dextro"), ("M.Emp", "collapse", "levo"),
+        ("M.Emp", "idA", "dextro"), ("M.Emp", "idA", "levo")])
+    def test_migrate_validates_its_table_once(self, tmp_path, monkeypatch,
+                                              table, morphism, direction):
+        """The structure's first read checks the table over the structure's
+        type domain, which is the flow's source domain here: one check."""
+        counts = self.count_validators(monkeypatch)
+        out = str(tmp_path / "out.json")
+        assert run(["migrate", "-w", FIXTURE, table, morphism, direction,
+                    "--out", out]) == (0, f"WROTE {out}\n")
+        assert counts == {"Table.validate": 1, "validate_database": 0}
 
     def test_eval_after_diagnostics_reuses_the_checked_structure(
             self, monkeypatch):

@@ -1,14 +1,23 @@
 """The workspace writer against ``json.dumps(indent=2, sort_keys=True)``."""
 
+import io
 import json
+import os
+import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fole import Signature, SignatureMorphism, Table, TableMorphism
+from fole import (Signature, SignatureMorphism, Table, TableMorphism, cli,
+                  key_equivalent)
 from fole.errors import KeyCollision
-from fole.workspace import dump_json, key_name, key_names
+from fole.workspace import (dump_json, key_name, key_names,
+                            load_workspace_data, table_to_json)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURE = os.path.join(ROOT, "tests", "fixtures", "workspace.json")
 
 
 def reference(obj) -> str:
@@ -136,3 +145,127 @@ def test_colliding_key_map_names_raise():
                        {("a", "b"): "x", "(a,b)": "y"})
     with pytest.raises(KeyCollision):
         dump_json({"p": tm})
+
+
+# The writer names a tuple of strings in one join, and writes each distinct
+# row of strings once where many repeat.  1, True and 1.0 are one dict key
+# but three JSON texts, so values that are not strings take neither path.
+
+def test_equal_non_string_rows_keep_their_own_text():
+    table = Table(Signature.of([("x", "S")]),
+                  {"a": (1,), "b": (True,), "c": (1.0,)})
+    assert dump_json(table) == reference(table_reference(table))
+    assert json.loads(dump_json(table))["rows"] == {
+        "a": [1], "b": [True], "c": [1.0]}
+
+
+@pytest.mark.parametrize("rows", [
+    {f"k{i}": ("x", "y") if i % 2 else ("z",) for i in range(20)},
+    {f"k{i}": ("x", "y") if i % 5 else ("z",) for i in range(3)},
+    {f"k{i}": () for i in range(20)},
+], ids=["lengths-repeated", "lengths-distinct", "empty"])
+def test_string_rows_of_other_lengths(rows):
+    """Rows of two lengths (an unchecked table) and rows of none."""
+    table = Table(Signature.of([("x", "S"), ("y", "S")]), rows)
+    assert dump_json(table) == reference(table_reference(table))
+
+
+def test_equal_non_string_key_members_keep_their_own_names():
+    batch = [("a", (1,)), ("b", (True,))]
+    assert key_names(batch) == ["(a,(1))", "(b,(True))"]
+    assert key_names(batch) == [reference_key_name(k) for k in batch]
+    targets = [(1,), (True,), (1.0,), (1,)]
+    assert key_names(targets) == [reference_key_name(k) for k in targets]
+
+
+def test_key_map_targets_mixing_one_and_true():
+    sig = Signature.of([])
+    key_map = {"x": (1,), "y": (True,), "z": (1,), "w": ("1",)}
+    tm = TableMorphism(SignatureMorphism.of(sig, sig, {}), key_map)
+    assert dump_json({"p": tm}) == reference(
+        {"p": {k: reference_key_name(v) for k, v in key_map.items()}})
+    assert json.loads(dump_json({"p": tm}))["p"] == \
+        {"x": "(1)", "y": "(True)", "z": "(1)", "w": "(1)"}
+
+
+def large_keyed(seed: int):
+    """A table of 2500 (k, t)-keyed rows drawn from 64 distinct tuples, and
+    a key map onto it whose targets are (k, t) keys, most of them repeated;
+    values and keys need escaping now and then."""
+    rng = random.Random(seed)
+    values = ["a", "b\"q", "c\\", "d\u00e9", "e\n", "f", "g,h", "(i)"]
+    tuples = [(x, y) for x in values for y in values]
+    keys = [(f"k{i}", t) for i in range(50) for t in rng.sample(tuples, 50)]
+    table = Table(Signature.of([("x", "S"), ("y", "S")]),
+                  {k: rng.choice(tuples) for k in keys})
+    targets = rng.sample(keys, 40)
+    sig = table.signature
+    tm = TableMorphism(SignatureMorphism.identity(sig),
+                       {(f"m{i}", t): rng.choice(targets)
+                        for i in range(30) for t in rng.sample(tuples, 40)})
+    return table, tm
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_large_repeated_rows_and_key_maps_match_json_dumps(seed):
+    table, tm = large_keyed(seed)
+    assert len(table.rows) >= 2000 and len(set(table.rows.values())) == 64
+    assert len(set(tm.key_map.values())) < len(tm.key_map) // 10
+    expected = {"signature": [list(p) for p in table.signature.pairs()],
+                "rows": {reference_key_name(k): list(v)
+                         for k, v in table.rows.items()}}
+    assert table_to_json(table) == reference(expected)
+    key_map = {reference_key_name(k): reference_key_name(v)
+               for k, v in tm.key_map.items()}
+    assert dump_json({"tables": {"t": table}, "maps": [{"c": tm}]}) == \
+        reference({"tables": {"t": expected}, "maps": [{"c": key_map}]})
+
+
+def written(monkeypatch, argv: list) -> dict:
+    """The payload that the command ``argv`` hands to the writer."""
+    payloads = []
+    monkeypatch.setattr(cli, "_write",
+                        lambda path, payload, out: payloads.append(payload) or 0)
+    assert cli.main(argv + ["--out", "unused.json"], out=io.StringIO()) == 0
+    return payloads[0]
+
+
+def benchmark_workspace(tmp_path, workload: str) -> str:
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from workloads import migrate_plan, integrity_workspace
+    finally:
+        sys.path.remove(os.path.join(ROOT, "perfbench"))
+    raw = (migrate_plan(1).workspaces["migrate.json"] if workload == "migrate"
+           else integrity_workspace(random.Random(5), 400)[0])
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("table", ["N.PairC", "MU.D14"])
+def test_dextro_output_loads_back(tmp_path, monkeypatch, table):
+    ws = FIXTURE if table == "N.PairC" else benchmark_workspace(tmp_path, "migrate")
+    morphism = "collapse" if table == "N.PairC" else "g"
+    payload = written(monkeypatch, ["migrate", "-w", ws, table, morphism, "dextro"])
+    sent = payload["structures"]["migrated"]["tables"]["migrated"]
+    back = load_workspace_data(json.loads(dump_json(payload)))
+    assert not back.diagnostics
+    loaded = back.structures["migrated"].lax.table_of["migrated"]
+    assert key_equivalent(loaded, sent)
+    assert set(loaded.rows) == set(map(key_name, sent.rows))
+
+
+@pytest.mark.parametrize("workspace", ["fixture", "integrity"])
+def test_db_image_output_loads_back(tmp_path, monkeypatch, workspace):
+    ws = FIXTURE if workspace == "fixture" else benchmark_workspace(tmp_path, "integrity")
+    payload = written(monkeypatch, ["convert", "-w", ws, "db-image", "DB"])
+    sent = payload["databases"]["DB_image"]
+    back = load_workspace_data(json.loads(dump_json(payload)))
+    assert not back.diagnostics
+    db = back.databases["DB_image"]
+    for r, table in sent["tables"].items():
+        assert key_equivalent(db.table_of[r], table)
+    assert {p: tm.key_map for p, tm in db.constraint_morphism.items()} == {
+        p: {key_name(k): key_name(v) for k, v in tm.key_map.items()}
+        for p, tm in sent["constraintKeyMaps"].items()}
