@@ -79,6 +79,9 @@ class Relation(Record, frozen=True):
     def of(signature: Signature, tuples) -> "Relation":
         return Relation(signature, frozenset(map(tuple, tuples)))
 
+    def sorted_tuples(self) -> list[Row]:
+        return sorted(self.tuples)
+
     def __contains__(self, t: Row) -> bool:
         return tuple(t) in self.tuples
 
@@ -112,7 +115,7 @@ def table_image(table: Table) -> Relation:
 
 def relation_include(rel: Relation) -> Table:
     """Key a relation by its own tuples; left inverse of table_image."""
-    return Table(rel.signature, {t: t for t in sorted(rel.tuples)})
+    return Table(rel.signature, {t: t for t in rel.sorted_tuples()})
 
 
 # op -> (arity, set operation on the operands' tuple sets); the operation's

@@ -115,7 +115,7 @@ def _rows(rows: list, pad: str):
         texts = [f"[{pad}  {s}{pad}]" for s in map(f",{pad}  ".join, columns)] \
             or ["[]"] * len(distinct)  # or every row is ()
     except (TypeError, ValueError):  # or rows of different lengths
-        return [dump_json(row, pad) for row in rows]
+        return [_dump(row, pad) for row in rows]
     return texts if distinct is rows else map(dict(zip(distinct, texts)).get, rows)
 
 
@@ -124,16 +124,19 @@ def table_to_json(table: Table, pad: str = "\n") -> str:
     p2 = pad + "  "
     rows = _object(table.rows, partial(_rows, pad=p2 + "  "), p2)
     return "".join(("{", p2, '"rows": ', rows, ",", p2, '"signature": ',
-                    dump_json(table.signature, p2), pad, "}"))
+                    _dump(table.signature, p2), pad, "}"))
 
 
-def dump_json(payload, pad: str = "\n") -> str:
-    """Exactly ``json.dumps(payload, indent=2, sort_keys=True)``, at ``pad``
-    (a newline and the indentation of the line it starts on).  The payload
+def dump_json(payload) -> str:
+    """Exactly ``json.dumps(payload, indent=2, sort_keys=True)``; the payload
     may also hold a ``Signature`` (written as its pairs), a ``Table`` (as
     ``table_to_json``) and a ``TableMorphism`` (its key map, by ``key_name``)."""
-    out = []  # every piece of the text, joined once
-    _render(payload, pad, out)
+    return _dump(payload, "\n")
+
+
+def _dump(obj, pad: str) -> str:
+    """``obj`` as ``dump_json`` writes it at ``pad``: a newline and its indent."""
+    _render(obj, pad, out := [])  # every piece of the text, joined once
     return "".join(out)
 
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -71,6 +72,14 @@ class TestReflection:
             injective = len(set(t.rows.values())) == len(t.rows)
             assert key_equivalent(relation_include(table_image(t)), t) \
                 == injective
+
+    def test_readme_python_example(self, capsys):
+        """README's Python API example runs as written, through
+        ``Relation.sorted_tuples``, and prints the complement of ``Emp``."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        example = readme.read_text(encoding="utf-8").split("```python\n")[1]
+        exec(example.split("```")[0], {})
+        assert capsys.readouterr().out == "[('ann', 'it'), ('bob', 'it')]\n"
 
 
 class TestTableValidate:
