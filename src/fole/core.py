@@ -269,7 +269,7 @@ def is_well_sorted(values: Row, sig: Signature, td: TypeDomain) -> bool:
 def enumerate_tuples(sig: Signature, td: TypeDomain) -> list[Row]:
     """All well-sorted tuples over ``sig``, in lexicographic extent order."""
     extents = [td.extent(s) for s in sig.sorts]
-    return [tuple(vs) for vs in itertools.product(*extents)]
+    return list(itertools.product(*extents))
 
 
 def tuple_along(h: SignatureMorphism, values: Row) -> Row:

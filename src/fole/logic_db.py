@@ -8,6 +8,7 @@ their tuple images.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Hashable, NamedTuple
 
 from .core import (
@@ -38,7 +39,6 @@ from .tables import (
     Table,
     TableMorphism,
     check_table_morphism,
-    relation_include,
     table_image,
 )
 
@@ -55,16 +55,27 @@ class SoundLogic(Record):
     def __post_init__(self):
         if self.structure.schema != self.spec.schema:
             raise SignatureMismatch("structure and spec are over different schemas")
-        report = satisfies_spec(self.structure, self.spec)
-        if not report.satisfied:
-            failure = report.first_failure()
+        failure = self.report.first_failure()
+        if failure is not None:
             raise InternalSatisfactionFailure(
                 f"structure does not satisfy constraint {failure.constraint!r}"
             )
 
+    @cached_property
+    def report(self):
+        """Satisfaction, decided once; its witnesses are the canonical key maps."""
+        return satisfies_spec(self.structure, self.spec)
+
     @property
     def schema(self):
         return self.structure.schema
+
+
+def _assembled(cls, *fields):
+    """``cls(*fields)`` without ``__post_init__``: for a passage's result only."""
+    record = object.__new__(cls)
+    vars(record).update(zip(cls._fields, fields))
+    return record
 
 
 class Database(Record):
@@ -130,32 +141,38 @@ def db_project(db: Database) -> DatabaseProjection:
 
 
 def _tuple_keyed(spec: AbstractSpec, td: TypeDomain,
-                 table_of: dict[str, Table]) -> Database:
+                 table_of: dict[str, Table], arrows=None) -> Database:
     """The database whose tables are the tuple images of ``table_of``, keyed
-    by their own tuples, and whose key maps precompose along each
-    constraint's signature morphism.  This is the interpretation functor of
-    a satisfied specification, so both passages into databases build it."""
-    tables = {r: relation_include(table_image(table_of[r]))
-              for r in spec.schema.predicates}
-    arrows = {}
-    for name, c in spec.constraints.items():
-        rows = tables[c.target_predicate].rows
-        arrows[name] = TableMorphism(
-            c.morphism, dict(zip(rows, map(c.morphism.project, rows))))
-    return Database(spec, td, tables, arrows)
+    by their own tuples, and whose key maps (``arrows``, if given) precompose
+    along each constraint's signature morphism: the interpretation functor of
+    a satisfied specification.  It is not validated: the image of a valid
+    structure is well-sorted, and its maps are exact by construction."""
+    images = {r: table_image(table_of[r]) for r in spec.schema.predicates}
+    tables = {r: Table(i.signature, dict(zip(i.tuples, i.tuples)))
+              for r, i in images.items()}
+    if arrows is None:
+        arrows = {}
+        for name, c in spec.constraints.items():
+            rows = tables[c.target_predicate].rows
+            arrows[name] = TableMorphism(
+                c.morphism, dict(zip(rows, map(c.morphism.project, rows))))
+    return _assembled(Database, spec, td, tables, arrows)
 
 
 def snd_to_db(logic: SoundLogic) -> Database:
     """Interpret the specification in the structure; tables are tuple-keyed
-    relation images and arrows come from the interpretation functor."""
+    relation images and arrows are the satisfaction witnesses, natural
+    because satisfaction puts every projection in the source image."""
     return _tuple_keyed(logic.spec, logic.structure.type_domain,
-                        logic.structure.table_of)
+                        logic.structure.table_of,
+                        {p: v.witness for p, v in logic.report.verdicts.items()})
 
 
 def db_to_snd(db: Database) -> SoundLogic:
     """Keep the tables as the structure (constraint-free aspect); the schema
-    becomes the specification, whose satisfaction the logic re-verifies."""
-    return SoundLogic(db.structure, db.schema)
+    becomes the specification.  Naturality implies satisfaction, so the logic
+    is not decided again: it works out its witnesses on first use."""
+    return _assembled(SoundLogic, db.structure, db.schema)
 
 
 def db_image(db: Database) -> Database:
@@ -187,15 +204,19 @@ class DatabaseMorphism(Record):
     key_bridge: dict[str, dict[Key, Key]]
 
 
-def validate_db_morphism(dm: DatabaseMorphism, db2: Database, db1: Database) -> None:
-    """Check the spec morphism and the key condition, with exact key bridges.
+def validate_db_morphism(dm: DatabaseMorphism, db2: Database, db1: Database,
+                         spec_checked=False) -> None:
+    """Check the spec morphism (unless ``spec_checked``: it passed over these
+    two specs) and the key condition, with exact key bridges, each bridge once.
 
     Naturality squares follow: at each key ``k1`` of ``c1``'s target table, the
     rows of ``kappa_src[k1_map[k1]]`` and ``k2_map[kappa_tgt[k1]]`` both read
     ``g(rows1[k1])`` through ``bridge_tgt o h2 = h1 o bridge_src``, a square
     that ``validate_spec_morphism`` checks."""
-    validate_spec_morphism(dm.spec_morphism, db2.schema, db1.schema)
-    validate_lax_morphism(_db_mor_to_lax(dm), db2.structure, db1.structure)
+    if not spec_checked:
+        validate_spec_morphism(dm.spec_morphism, db2.schema, db1.schema)
+    validate_lax_morphism(_db_mor_to_lax(dm), db2.structure, db1.structure,
+                          bridges_checked=True)
 
 
 def _db_mor_to_lax(dm: DatabaseMorphism) -> LaxStructureMorphism:

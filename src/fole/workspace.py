@@ -411,14 +411,15 @@ def _db_morphism(ws: Workspace, name: str, data):
     db2 = ws.require("database", data["source"])
     db1 = ws.require("database", data["target"])
     td_mor, _, _ = ws.require("typeDomainMorphism", data["typeDomainMorphism"])
-    if isinstance(data.get("specMorphism"), str):
-        sm, _, _ = ws.require("specMorphism", data["specMorphism"])
+    if isinstance(data.get("specMorphism"), str):  # validated when it loaded
+        sm, *ends = ws.require("specMorphism", data["specMorphism"])
+        checked = [ws.require("spec", t) for t in ends] == [db2.schema, db1.schema]
     else:
-        sm = _spec_morphism_of(data, db2.schema, db1.schema)
+        sm, checked = _spec_morphism_of(data, db2.schema, db1.schema), False
     dm = DatabaseMorphism(
         spec_morphism=sm, td_morphism=td_mor,
         key_bridge={r: dict(km) for r, km in data["keyBridges"].items()})
-    validate_db_morphism(dm, db2, db1)
+    validate_db_morphism(dm, db2, db1, checked)
     return dm, data["source"], data["target"]
 
 

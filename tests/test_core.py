@@ -23,7 +23,6 @@ from fole import (
     check_signature_morphism,
     check_type_domain_morphism,
     classify,
-    db_to_snd,
     enumerate_tuples,
     load_workspace,
     tuple_along,
@@ -130,7 +129,7 @@ class TestRecord:
         seen = []
         monkeypatch.setattr(SoundLogic, "__post_init__",
                             lambda logic: seen.append(logic))
-        assert seen == [db_to_snd(db)]
+        assert seen == [SoundLogic(db.structure, db.schema)]
 
     def test_equality_within_one_class(self):
         assert Point(1, 2) != Labelled(1, 2) and Labelled(1, 2) != Point(1, 2)

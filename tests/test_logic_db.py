@@ -1,6 +1,7 @@
 """Sound logics, databases, conversion passages, and the reflection laws."""
 
 import functools
+import io
 import json
 import os
 import random
@@ -48,8 +49,11 @@ from fole.errors import (
     UnknownPredicate,
     UnresolvedReference,
 )
+from fole import specs, structure, tables
+from fole.cli import main
 from fole.errors import FoleError
-from fole.workspace import load_workspace_data
+from fole.specs import satisfies_spec
+from fole.workspace import load_workspace, load_workspace_data
 from generators import rand_database, rand_logic_morphism_setup, \
     rand_satisfied_pair, rand_type_domain, unit_composite_pair
 
@@ -179,7 +183,7 @@ class TestValidateDatabase:
             validate_database(rand_database(rng, td))
 
 
-def integrity_workspace():
+def integrity_workspace(rows=40):
     """The benchmark's integrity workspace: database DB declares the
     composite c21 & c10 = c20 over P2 <- P1 <- P0."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -187,7 +191,7 @@ def integrity_workspace():
         from workloads import integrity_workspace as generate
     finally:
         sys.path.remove(os.path.join(ROOT, "perfbench"))
-    return generate(random.Random(5), 40)[0]
+    return generate(random.Random(5), rows)[0]
 
 
 JUNK = ("NaturalityViolation: naturality fails at key 'zzz': "
@@ -578,3 +582,89 @@ class TestConditionsThatFollow:
             assert composites_hold(accepted)
         else:
             assert squares_hold(dm, db2, db1)
+
+
+# ------------------------------------- passages assemble, and check nothing
+
+@functools.cache
+def passage_inputs() -> tuple[list, list]:
+    """Sound logics and databases: 60 random of each, the fixture's, and the
+    integrity workspace's at 400 rows."""
+    rng = random.Random(131)
+    dbs = [rand_database(rng, rand_type_domain(rng)) for _ in range(60)]
+    logics = [SoundLogic(*rand_satisfied_pair(rng, rand_type_domain(rng)))
+              for _ in range(60)]
+    for ws, spec in ((load_workspace(FIXTURE), "FK"),
+                     (load_workspace_data(integrity_workspace(400)), "Good")):
+        dbs.append(ws.require("database", "DB"))
+        logics.append(SoundLogic(ws.structure("M"), ws.require("spec", spec)))
+    return logics, dbs
+
+
+class TestPassagesNeedNoCheck:
+    """Each check a passage no longer runs passes on what it builds."""
+
+    def test_snd_to_db_is_a_valid_database(self):
+        for logic in passage_inputs()[0]:
+            validate_database(snd_to_db(logic))
+
+    def test_db_image_is_a_valid_database(self):
+        for db in passage_inputs()[1]:
+            validate_database(db_image(db))
+
+    def test_db_to_snd_is_satisfied(self):
+        for db in passage_inputs()[1]:
+            logic = db_to_snd(db)
+            assert satisfies_spec(logic.structure, db.schema).satisfied
+            assert logic == SoundLogic(db.structure, db.schema)
+
+
+class TestPassagesCheckNothingTheyBuild:
+    """Counted on the fixture: a conversion validates only what the loader
+    reads, and the loader checks each bridge once."""
+
+    def counts(self, monkeypatch) -> dict:
+        counts = dict.fromkeys(["validate", "satisfies_constraint", "check_bridge"], 0)
+        for owner, name in [(tables.Table, "validate"),
+                            (specs, "satisfies_constraint"),
+                            (structure, "check_bridge"), (specs, "check_bridge")]:
+            def counting(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
+        return counts
+
+    def convert(self, tmp_path, *argv) -> int:
+        return main(["convert", "-w", FIXTURE, *argv,
+                     "--out", str(tmp_path / "out.json")], out=io.StringIO())
+
+    @pytest.mark.parametrize("argv", [("snd-to-db", "M:FK"), ("db-image", "DB")])
+    def test_image_database_is_not_validated(self, tmp_path, monkeypatch, argv):
+        counts = self.counts(monkeypatch)
+        assert self.convert(tmp_path, *argv) == 0
+        assert counts["validate"] == 3  # the loader's, of the three tables read
+
+    def test_db_to_snd_decides_nothing(self, tmp_path, monkeypatch):
+        counts = self.counts(monkeypatch)
+        assert self.convert(tmp_path, "db-to-snd", "DB") == 0
+        assert counts["satisfies_constraint"] == 0
+
+    def test_loading_checks_each_bridge_once(self, monkeypatch):
+        """idFK, idM and idDB each have three bridges; idDB's are idFK's,
+        which the loader checked when idFK loaded."""
+        counts = self.counts(monkeypatch)
+        assert not load_workspace(FIXTURE).diagnostics
+        assert counts["check_bridge"] == 6
+
+    def test_named_spec_morphism_over_other_specs_is_checked(self):
+        """A named spec morphism is taken as checked only over the two
+        databases' own specs."""
+        raw = json.load(open(FIXTURE))
+        raw["specs"]["Bare"] = {**raw["specs"]["FK"], "constraints": {}}
+        raw["specMorphisms"]["idBare"] = {**raw["specMorphisms"]["idFK"],
+                                          "source": "Bare", "target": "Bare",
+                                          "constraintMap": {}}
+        raw["dbMorphisms"]["idDB"]["specMorphism"] = "idBare"
+        assert [(d.name, d.error) for d in load_workspace_data(raw).diagnostics] \
+            == [("idDB", "NaturalityViolation: naturality fails at key "
+                         "'empDept': constraint not mapped")]
