@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import sys
 
 from .errors import FoleError, UnresolvedReference
@@ -27,12 +29,16 @@ def _emit(out, text: str):
 
 
 def _ordered_tuples(rel, td):
-    """``rel``'s tuples in fiber order: by the mixed-radix number of the
-    indices of their values in the extents, with no walk over the fiber."""
+    """``rel``'s tuples in fiber order.  Where they fill an eighth of the
+    fiber or more, a walk over the fiber keeps them; else they are sorted by
+    the mixed-radix number of the indices of their values in the extents."""
     rank, stride = [], 1
     for s in reversed(rel.signature.sorts):
         rank.insert(0, {v: i * stride for i, v in enumerate(td.extent(s))})
         stride *= len(td.extent(s))
+    # a value twice in an extent ranks at its last place, so is never walked
+    if 8 * len(rel) >= stride and stride == math.prod(map(len, rank)):
+        return list(filter(rel.tuples.__contains__, itertools.product(*rank)))
     return sorted(rel.tuples, key=lambda t: sum(map(dict.__getitem__, rank, t)))
 
 

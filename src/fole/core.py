@@ -124,11 +124,18 @@ class TypeDomain(Record):
         for x in self.extents:
             if x not in self.sorts:
                 raise UnknownSort(x)
+        self._fibers = {}  # sorts -> their fiber's tuple set, made by fiber()
 
     def extent(self, sort: str) -> tuple[str, ...]:
         if sort not in self.extents:
             raise UnknownSort(sort)
         return self.extents[sort]
+
+    def fiber(self, sig: Signature) -> frozenset[Row]:
+        """All well-sorted tuples over ``sig``, enumerated once per domain."""
+        if sig.sorts not in self._fibers:
+            self._fibers[sig.sorts] = frozenset(enumerate_tuples(sig, self))
+        return self._fibers[sig.sorts]
 
     def values(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}

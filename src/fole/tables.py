@@ -21,7 +21,6 @@ from .core import (
     SignatureMorphism,
     TypeDomain,
     TypeDomainMorphism,
-    enumerate_tuples,
     is_well_sorted,
     pushed_signature,
     tuple_along,
@@ -120,7 +119,7 @@ def relation_include(rel: Relation) -> Table:
 
 # op -> (arity, set operation on the operands' tuple sets); the operation's
 # first argument yields the fiber's full tuple set, which only top, negation
-# and implication ask for
+# and implication ask for, and the type domain enumerates once
 _FIBER_OPS: dict[str, tuple[int, Callable[..., frozenset]]] = {
     "top": (0, lambda top: top()),
     "bottom": (0, lambda top: frozenset()),
@@ -145,8 +144,7 @@ def fiber_boolean(op: str, sig: Signature, td: TypeDomain,
     for r in operands:
         if r.signature != sig:
             raise SignatureMismatch(f"operand over {r.signature}, expected {sig}")
-    return Relation(sig, apply(lambda: frozenset(enumerate_tuples(sig, td)),
-                               *(r.tuples for r in operands)))
+    return Relation(sig, apply(lambda: td.fiber(sig), *(r.tuples for r in operands)))
 
 
 def _target_tuples_over(h: SignatureMorphism,
@@ -205,21 +203,21 @@ def fiber_flow(mode: str, h: SignatureMorphism, rel: Relation,
         if rel.signature != h.target:
             raise SignatureMismatch("forall expects a relation over h.target")
         # Division by counting: s holds iff every tuple over s is in rel,
-        # i.e. iff as many tuples of rel project onto s as lie over s.  That
-        # is the product of the free extents, or none when over(s) is ()
-        # because s disagrees where h merges attributes.
-        over = _target_tuples_over(h, td)
-        counts = Counter(map(h.project, rel.tuples))
+        # i.e. iff as many tuples of rel project onto s as lie over s: the
+        # product of the free extents.  s holds vacuously where none lie over
+        # it: where a free extent is empty, or where s disagrees at attributes
+        # h merges; only then is the source fiber walked.
+        extents = [td.extent(x) for x in h.target.sorts]
         image = set(h.positions)
-        free = prod(len(td.extent(x)) for p, x in enumerate(h.target.sorts)
-                    if p not in image)
-        return Relation(
-            h.source,
-            frozenset(
-                s for s in enumerate_tuples(h.source, td)
-                if counts[s] == (free if over(s) else 0)
-            ),
-        )
+        free = prod(len(e) for p, e in enumerate(extents) if p not in image)
+        counts = Counter(map(h.project, rel.tuples))
+        held = frozenset(itertools.compress(counts, map(free.__eq__, counts.values())))
+        if not free or len(image) < len(h.positions):
+            # the source tuples some tuple lies over: image values, any free
+            lie = itertools.product(*(e if p in image else (None,)
+                                      for p, e in enumerate(extents)))
+            held |= td.fiber(h.source).difference(map(h.project, lie) if free else ())
+        return Relation(h.source, held)
     raise ValueError(f"unknown flow mode {mode!r}")
 
 

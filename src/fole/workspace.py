@@ -152,6 +152,8 @@ def _render(obj, pad: str, out: list) -> None:
     keyed, inner = isinstance(obj, dict), pad + "  "
     if not keyed and all(map(isinstance, obj, repeat(str))):  # one piece, not one per value
         return out.append(f"[{inner}{(',' + inner).join(map(_ENC, obj))}{pad}]")
+    if not keyed and all(map(isinstance, obj, repeat(tuple))):  # rows, as a table's
+        return out.append(f"[{inner}{(',' + inner).join(_rows(obj, inner))}{pad}]")
     lead, sep = ("{" if keyed else "[") + inner, "," + inner
     for v in sorted(obj) if keyed else obj:
         out.append(f"{lead}{_ENC(v)}: " if keyed else lead)

@@ -347,26 +347,49 @@ class TestNestingCap:
                                    f"than 100 levels (at offset {offset})\n")
 
 
-def test_eval_order_is_enumeration_order():
-    """``eval`` sorts by extent indices; the order is the fiber's
-    enumeration order, for empty relations and zero-arity signatures too."""
+def test_eval_order_is_enumeration_order(monkeypatch):
+    """``eval`` walks the fiber where the result fills an eighth of it or
+    more, and sorts by extent indices below that; either way the order is
+    the fiber's enumeration order, for empty relations, zero-arity
+    signatures and empty extents too.  Each relation lies just above or
+    just below the crossing density."""
+    sorts = []
+    monkeypatch.setattr(cli, "sorted", raising=False,
+                        value=lambda *a, **k: sorts.append(1) or sorted(*a, **k))
     rng = random.Random(7)
-    cases = 0
-    for i in range(300):
-        td = rand_type_domain(rng, max_extent=4, min_extent=i % 4 > 0)
+    cases = walks = 0
+    shapes = set()  # (zero arity, empty fiber, walked)
+    for i in range(400):
+        td = rand_type_domain(rng, max_extent=5, min_extent=i % 4 > 0)
         # extents out of value order, so sorting by value would differ
         td = TypeDomain(td.sorts, {x: tuple(rng.sample(vs, len(vs)))
                                    for x, vs in td.extents.items()})
         sig = rand_signature(rng, td, max_len=4 if i % 3 else 0,
                              min_len=i % 3 > 0)
-        rel = rand_relation(rng, sig, td)
-        if i % 5 == 0:
-            rel = Relation.of(sig, [])
         fiber = enumerate_tuples(sig, td)
+        at = -(-len(fiber) // 8)  # the fewest tuples that are walked
+        size = max(0, at - 1) if i % 2 else at
+        rel = Relation.of(sig, rng.sample(fiber, size))
+        before = len(sorts)
         assert _ordered_tuples(rel, td) == [t for t in fiber
                                             if t in rel.tuples]
+        walked = len(sorts) == before
+        assert walked == (8 * len(rel) >= len(fiber))
+        walks += walked
         cases += len(rel.tuples) > 1
-    assert cases > 80
+        shapes.add((len(sig) == 0, not fiber, walked))
+    assert walks >= 50 and 400 - walks >= 50 and cases > 80
+    # zero arity both ways; an empty extent leaves nothing to sort
+    assert {(True, False, True), (True, False, False), (False, True, True)} <= shapes
+
+
+def test_eval_order_with_a_value_twice_in_an_extent():
+    """A value listed twice ranks at its last place and prints once: such a
+    fiber is sorted, never walked."""
+    td = TypeDomain(("S",), {"S": ("b", "a", "b")})
+    sig = Signature.of([("x", "S")])
+    rel = Relation.of(sig, [("a",), ("b",)])
+    assert _ordered_tuples(rel, td) == [("a",), ("b",)]
 
 
 class TestCheck:

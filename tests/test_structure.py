@@ -31,6 +31,7 @@ from fole import (
     interpret_relation,
     interpret_table,
     key_equivalent,
+    parse_formula,
     satisfies_constraint,
     satisfies_sequent,
     strict_morphism_to_lax,
@@ -39,6 +40,7 @@ from fole import (
     validate_lax_morphism,
     validate_strict,
 )
+from fole import core as core_module
 from fole import formula as formula_module
 from fole import structure as structure_module
 from fole.errors import (
@@ -296,6 +298,35 @@ class TestTypeCheckOnce:
             for interpret in (interpret_relation, interpret_table):
                 with pytest.raises((FiberMismatch, FlowMismatch)):
                     interpret(m, phi)
+
+
+class TestFiberMemo:
+    def test_each_fiber_enumerated_once(self, monkeypatch):
+        """top@, negation and implication over one signature share one
+        enumeration of its fiber, which the type domain keeps; the result is
+        the oracle's, and the domain compares and prints as before."""
+        calls = []
+
+        def counting(sig, td):
+            calls.append(sig)
+            return original(sig, td)
+
+        original = core_module.enumerate_tuples
+        schema = Schema(SCHEMA.sorts, SCHEMA.predicates, {"X": SIG2})
+        td = TypeDomain(("S", "D"), {"S": ("ann", "bob", "cy"), "D": ("hr", "it")})
+        m = LaxStructure(schema, td, fixture_structure().table_of)
+        phi = parse_formula("(top@X \\/ ~Salaried) => top@X", schema)
+        expected = interpret_by_oracle(m, phi)
+        assert expected.tuples == set(enumerate_tuples(SIG2, td))
+        monkeypatch.setattr(core_module, "enumerate_tuples", counting)
+        assert interpret_relation(m, phi) == expected
+        assert calls == [SIG2]
+        assert interpret_relation(m, phi) == expected
+        assert calls == [SIG2]
+        assert not interpret_relation(m, parse_formula("~Dept", schema)).tuples
+        assert calls == [SIG2, SIG1]
+        fresh = TypeDomain(("S", "D"), {"S": ("ann", "bob", "cy"), "D": ("hr", "it")})
+        assert td == fresh and repr(td) == repr(fresh)
 
 
 class TestSatisfaction:

@@ -9,7 +9,9 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from fole import (
+    LaxStructure,
     Relation,
+    Schema,
     Signature,
     SignatureMorphism,
     Table,
@@ -21,7 +23,10 @@ from fole import (
     enumerate_tuples,
     fiber_boolean,
     fiber_flow,
+    interpret_by_oracle,
+    interpret_relation,
     key_equivalent,
+    parse_formula,
     relation_include,
     table_flow_type_domain,
     table_image,
@@ -675,6 +680,94 @@ class TestWideDifferential:
         assert list(out.rows) == [("agree", ("p1", q)) for q in td.extent("Q")]
         assert list(out.rows.items()) == \
             list(oracle_substitution(h, table, td).items())
+
+
+# The query workload's scale: 3 sorts of 12 values, fibers up to 1728 tuples;
+# E has an empty extent.
+QUERY_TD = TypeDomain(("A", "B", "C", "E"), {
+    **{x: tuple(f"{x.lower()}{i}" for i in range(12)) for x in "ABC"}, "E": ()})
+
+
+def query_morphisms():
+    """(kind, h): forall counts alone where h is injective and no free
+    extent is empty, and walks the source fiber otherwise."""
+    sig = Signature.of
+    abc = sig([("x", "A"), ("y", "B"), ("z", "C")])
+    aab = sig([("x", "A"), ("y", "A"), ("z", "B")])
+    ab = sig([("x", "A"), ("y", "B")])
+    aa = sig([("x", "A"), ("y", "A")])
+    ae = sig([("x", "A"), ("e", "E")])
+    return [
+        ("injective", SignatureMorphism.of(
+            sig([("u", "C"), ("v", "A")]), abc, {"u": "z", "v": "x"})),
+        ("injective-one", SignatureMorphism.of(sig([("u", "C")]), abc, {"u": "z"})),
+        ("merging", SignatureMorphism.of(
+            sig([("u", "A"), ("v", "B"), ("w", "A")]), aab,
+            {"u": "x", "v": "z", "w": "x"})),
+        ("merging-small", SignatureMorphism.of(
+            sig([("u", "A"), ("v", "A")]), aa, {"u": "x", "v": "x"})),
+        ("merging-all", SignatureMorphism.of(
+            sig([("u", "A"), ("v", "A"), ("w", "A")]), aa,
+            {"u": "y", "v": "y", "w": "y"})),
+        ("identity", SignatureMorphism.identity(abc)),
+        ("identity-small", SignatureMorphism.identity(ab)),
+        ("empty-source", SignatureMorphism.of(Signature((), ()), abc, {})),
+        ("empty-free", SignatureMorphism.of(sig([("u", "A")]), ae, {"u": "x"})),
+        ("empty-free-merging", SignatureMorphism.of(
+            sig([("u", "A"), ("v", "A")]), ae, {"u": "x", "v": "x"})),
+    ]
+
+
+class TestForallAtQueryScale:
+    def test_against_oracle(self):
+        rng = random.Random(137)
+        for kind, h in query_morphisms():
+            fiber = enumerate_tuples(h.target, QUERY_TD)
+            rels = [Relation.of(h.target, []), Relation.of(h.target, fiber),
+                    Relation.of(h.target, fiber[1:]),
+                    dense_relation(rng, h, QUERY_TD),
+                    sparse_relation(rng, h.target, QUERY_TD, 0.5),
+                    sparse_relation(rng, h.target, QUERY_TD, 0.97)]
+            held = 0
+            for rel in rels:
+                out = fiber_flow("forall", h, rel, QUERY_TD)
+                assert out.signature == h.source
+                assert out.tuples == oracle_forall(h, rel, QUERY_TD), kind
+                held += len(out.tuples)
+            assert held, kind  # each morphism's forall holds somewhere
+
+    def test_interpretation_against_oracles(self):
+        """``forall[h] ~(P /\\ Q)``, P and Q tables over ``h.target``.  The
+        tuple oracle reads the whole target fiber for each source tuple, so
+        the morphisms with large fibers at both ends are left to the test
+        above."""
+        rng = random.Random(139)
+        for kind, h in query_morphisms():
+            if len(enumerate_tuples(h.source, QUERY_TD)) * \
+                    len(enumerate_tuples(h.target, QUERY_TD)) > 30000:
+                continue
+            schema = Schema(QUERY_TD.sorts, {"P": h.target, "Q": h.target})
+            phi = parse_formula("forall[h] ~(P /\\ Q)", schema, {"h": h})
+            fiber = enumerate_tuples(h.target, QUERY_TD)
+            for q_density in (0.0, 0.02, 0.2):
+                tables = {
+                    "P": Table(h.target, {f"p{i}": t for i, t in enumerate(fiber)
+                                          if rng.random() < 0.8}),
+                    "Q": Table(h.target, {f"q{i}": t for i, t in enumerate(fiber)
+                                          if rng.random() < q_density})}
+                m = LaxStructure(schema, QUERY_TD, tables)
+                body = interpret_relation(m, phi.body)
+                out = interpret_relation(m, phi)
+                assert out.tuples == oracle_forall(h, body, QUERY_TD), kind
+                assert out == interpret_by_oracle(m, phi), kind
+
+    def test_interpretation_covers_every_kind(self):
+        kinds = [kind for kind, h in query_morphisms()
+                 if len(enumerate_tuples(h.source, QUERY_TD)) *
+                 len(enumerate_tuples(h.target, QUERY_TD)) <= 30000]
+        assert {k.split("-")[0] for k in kinds} == {
+            "injective", "merging", "identity", "empty"}
+        assert "empty-source" in kinds and "empty-free" in kinds
 
 
 def wide_infomorphism(rng):

@@ -49,6 +49,38 @@ def test_tuples_written_as_lists(obj):
     assert dump_json((obj, (obj,))) == reference([obj, [obj]])
 
 
+_STRINGS = [("a", "b\"q"), ("c\\", "d\u00e9"), ("e\n", "f"), ("", "")]
+ROW_LISTS = {
+    "strings": [("x", "y"), ("z", "w\t"), ("", "é")],
+    "repeated": [_STRINGS[i % 3 + (i % 7 == 0)] for i in range(200)],
+    "repeated-tuple": tuple(_STRINGS[i % 2] for i in range(64)),
+    "one-true-float-none": [(1,), (True,), (1.0,), (None,), (1,), ("1",)] * 20,
+    "lengths": [("x", "y"), ("z",), ("x", "y"), ()] * 10,
+    "empty-rows": [()] * 20,
+    "one-empty-row": [()],
+    "nested": [(("a", "b"), ("c",)), (("a", "b"), ()), ((("d",),),)],
+    "unhashable": [(["a"], "b"), ({"k": ("v",)}, "c"), (["a"], "b")],
+    "tuples-and-lists": [("a", "b"), ["a", "b"], ("c",), []],
+    "at-depth": {"outer": [{"rows": [("a", "b")] * 9 + [("c", "d")],
+                            "more": {"x": [(1, None), (True, "t")]}}],
+                 "also": ([("q",)], (("r",),))},
+}
+
+
+@pytest.mark.parametrize("obj", ROW_LISTS.values(), ids=ROW_LISTS.keys())
+def test_tuple_lists_match_json_dumps(obj):
+    """Lists whose items are all tuples are written as a table's rows are."""
+    assert dump_json(obj) == reference(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(json_values, json_values) | st.tuples(texts, texts)
+                | st.tuples(json_values) | st.tuples(), max_size=12))
+def test_lists_of_tuples_match_json_dumps(rows):
+    assert dump_json(rows) == reference(rows)
+    assert dump_json({"k": [rows, tuple(rows)]}) == reference({"k": [rows, rows]})
+
+
 keys = st.recursive(texts, lambda children: st.tuples(children, children)
                     | st.tuples(children), max_leaves=4)
 
