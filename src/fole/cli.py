@@ -12,7 +12,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 
 from .errors import FoleError, UnresolvedReference
@@ -36,8 +35,7 @@ def _ordered_tuples(rel, td):
     for s in reversed(rel.signature.sorts):
         rank.insert(0, {v: i * stride for i, v in enumerate(td.extent(s))})
         stride *= len(td.extent(s))
-    # a value twice in an extent ranks at its last place, so is never walked
-    if 8 * len(rel) >= stride and stride == math.prod(map(len, rank)):
+    if 8 * len(rel) >= stride:
         return list(filter(rel.tuples.__contains__, itertools.product(*rank)))
     return sorted(rel.tuples, key=lambda t: sum(map(dict.__getitem__, rank, t)))
 

@@ -13,8 +13,8 @@ from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
-from .errors import (InfomorphismViolation, SignatureMismatch, SortMismatch,
-                     UnknownSort, UnresolvedReference)
+from .errors import (FoleError, InfomorphismViolation, SignatureMismatch,
+                     SortMismatch, UnknownSort, UnresolvedReference)
 
 Row = tuple  # tuple of value atoms, aligned with a Signature's attrs
 
@@ -107,7 +107,7 @@ class Signature(Record, frozen=True):
 
 
 class TypeDomain(Record):
-    """Sort-indexed finite value extents.
+    """Sort-indexed finite value extents; an extent lists a value once.
 
     The global value set is the union of the extents; extent enumeration
     order is insertion order and is significant for tuple enumeration.
@@ -121,9 +121,12 @@ class TypeDomain(Record):
         self.extents = {x: tuple(vs) for x, vs in self.extents.items()}
         for x in self.sorts:
             self.extents.setdefault(x, ())
-        for x in self.extents:
+        for x, vs in self.extents.items():
             if x not in self.sorts:
                 raise UnknownSort(x)
+            if len(set(vs)) < len(vs):  # the first value listed again
+                v = next(v for i, v in enumerate(vs) if v in vs[:i])
+                raise FoleError(f"extent of sort {x!r} lists value {v!r} twice")
         self._fibers = {}  # sorts -> their fiber's tuple set, made by fiber()
 
     def extent(self, sort: str) -> tuple[str, ...]:

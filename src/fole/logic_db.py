@@ -39,7 +39,6 @@ from .tables import (
     Table,
     TableMorphism,
     check_table_morphism,
-    table_image,
 )
 
 Key = Hashable
@@ -140,14 +139,13 @@ def db_project(db: Database) -> DatabaseProjection:
     )
 
 
-def _tuple_keyed(spec: AbstractSpec, td: TypeDomain,
-                 table_of: dict[str, Table], arrows=None) -> Database:
-    """The database whose tables are the tuple images of ``table_of``, keyed
-    by their own tuples, and whose key maps (``arrows``, if given) precompose
+def _tuple_keyed(spec: AbstractSpec, m: LaxStructure, arrows=None) -> Database:
+    """The database whose tables are the tuple images of ``m``'s, keyed by
+    their own tuples, and whose key maps (``arrows``, if given) precompose
     along each constraint's signature morphism: the interpretation functor of
     a satisfied specification.  It is not validated: the image of a valid
     structure is well-sorted, and its maps are exact by construction."""
-    images = {r: table_image(table_of[r]) for r in spec.schema.predicates}
+    images = {r: m.image(r) for r in spec.schema.predicates}
     tables = {r: Table(i.signature, dict(zip(i.tuples, i.tuples)))
               for r, i in images.items()}
     if arrows is None:
@@ -156,15 +154,14 @@ def _tuple_keyed(spec: AbstractSpec, td: TypeDomain,
             rows = tables[c.target_predicate].rows
             arrows[name] = TableMorphism(
                 c.morphism, dict(zip(rows, map(c.morphism.project, rows))))
-    return _assembled(Database, spec, td, tables, arrows)
+    return _assembled(Database, spec, m.type_domain, tables, arrows)
 
 
 def snd_to_db(logic: SoundLogic) -> Database:
     """Interpret the specification in the structure; tables are tuple-keyed
     relation images and arrows are the satisfaction witnesses, natural
     because satisfaction puts every projection in the source image."""
-    return _tuple_keyed(logic.spec, logic.structure.type_domain,
-                        logic.structure.table_of,
+    return _tuple_keyed(logic.spec, logic.structure,
                         {p: v.witness for p, v in logic.report.verdicts.items()})
 
 
@@ -178,7 +175,7 @@ def db_to_snd(db: Database) -> SoundLogic:
 def db_image(db: Database) -> Database:
     """Collapse every table to its tuple image and transport the key maps to
     the canonical tuple-precomposition maps."""
-    return _tuple_keyed(db.schema, db.type_domain, db.table_of)
+    return _tuple_keyed(db.schema, db.structure)
 
 
 # ----------------------------------------------------------------- morphisms
@@ -243,7 +240,7 @@ def snd_mor_to_db_mor(lm: SoundLogicMorphism,
     for r2 in l2.spec.schema.predicates:
         r1 = lm.spec_morphism.predicate_map[r2]
         bridge = lm.structure_morphism.schema_bridge[r2]
-        tuples1 = table_image(l1.structure.table_of[r1]).tuples
+        tuples1 = l1.structure.image(r1).tuples
         key_bridge[r2] = dict(zip(tuples1, map(g_push, map(bridge.project,
                                                             tuples1))))
     return DatabaseMorphism(

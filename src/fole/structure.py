@@ -169,6 +169,13 @@ class LaxStructure(Record):
         for r in self.schema.predicates:
             check_table(r, self.table_of[r], self.schema, self.type_domain)
 
+    def image(self, r: str) -> Relation:
+        """``table_image`` of ``r``'s table, built once while the structure holds it."""
+        images, table = vars(self).setdefault("_images", {}), self.table_of[r]
+        if r not in images or images[r][0] is not table:
+            images[r] = table, table_image(table)
+        return images[r][1]
+
 
 def to_lax(m: StrictStructure) -> LaxStructure:
     """Forget the global key set; keep one table per predicate, each checked
@@ -191,7 +198,7 @@ def interpret_relation(m: LaxStructure, phi: Formula) -> Relation:
 def _interpret(m: LaxStructure, phi: Formula) -> Relation:
     td = m.type_domain
     if isinstance(phi, Atom):
-        return table_image(m.table_of[phi.predicate])
+        return m.image(phi.predicate)
     if isinstance(phi, Flow):
         return fiber_flow(phi.mode, phi.morphism, _interpret(m, phi.body), td)
     args = [_interpret(m, getattr(phi, o)) for o in phi.operands]

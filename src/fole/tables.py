@@ -238,10 +238,16 @@ def table_substitution(h: SignatureMorphism, table: Table,
     """
     if table.signature != h.source:
         raise SignatureMismatch("table_substitution expects a table over h.source")
-    over = _target_tuples_over(h, td)
-    return Table(h.target, {
-        (k, t): t for k, t_src in table.rows.items() for t in over(t_src)
-    })
+    return _pullback(h.target, table, _target_tuples_over(h, td))
+
+
+def _pullback(sig: Signature, table: Table,
+              fiber: Callable[[Row], Iterable[Row]]) -> Table:
+    """The table over ``sig`` keyed by ``(k, t)``, ``t`` in the fiber above key
+    ``k``'s row, by key, then in fiber order.  Each distinct row's fiber is
+    built once, and the keys that hold that row share its tuples."""
+    fibers = {row: list(fiber(row)) for row in dict.fromkeys(table.rows.values())}
+    return Table(sig, {(k, t): t for k, row in table.rows.items() for t in fibers[row]})
 
 
 def check_table_morphism(m: TableMorphism, src: Table, tgt: Table) -> None:
@@ -313,12 +319,8 @@ def table_flow_type_domain(direction: str, m: TypeDomainMorphism, table: Table,
             for y1 in a1.extent(x1):
                 inv.setdefault(g[y1], []).append(y1)
         lookups = [inverse[x1] for x1 in out_sig.sorts]
-        rows: dict[Key, Row] = {}
-        for k2, t2 in table.rows.items():
-            preimages = [inv.get(y2, ()) for inv, y2 in zip(lookups, t2)]
-            for t1 in itertools.product(*preimages):
-                rows[(k2, t1)] = t1
-        return Table(out_sig, rows)
+        return _pullback(out_sig, table, lambda t2: itertools.product(
+            *[inv.get(y2, ()) for inv, y2 in zip(lookups, t2)]))
     attrs: list[str] = []
     sorts: list[str] = []
     picks: list[int] = []  # source position feeding each output attribute

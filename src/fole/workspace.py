@@ -73,13 +73,18 @@ def key_name(key) -> str:
 
 def key_names(keys) -> list:
     """``key_name`` of each key (a tuple: its members' names, comma-joined in
-    parentheses), a column at a time where all are tuples of one length."""
+    parentheses), a column at a time where all are tuples of one length; a
+    pullback key ``(k, t)``, ``t`` a tuple of strings, in one pass."""
     if all(map(isinstance, keys, repeat(str))):
         return list(keys)
     if keys[0] and all(map(isinstance, keys, repeat(tuple))) \
             and len(set(map(len, keys))) == 1:
         with suppress(TypeError):  # from ",".join: a member is not a string
             return [f"({s})" for s in map(",".join, keys)]
+        heads, tails = zip(*keys) if len(keys[0]) == 2 else ((), ())
+        if tails and all(map(isinstance, tails, repeat(tuple))):
+            with suppress(TypeError):  # a member of a tail is not a string
+                return [f"({h},({','.join(t)}))" for h, t in zip(key_names(heads), tails)]
         return [f"({s})" for s in map(",".join, zip(*map(key_names, zip(*keys))))]
     return [f"({','.join(key_names(k))})" if isinstance(k, tuple) else str(k)
             for k in keys]

@@ -15,7 +15,7 @@ from fole import (Relation, Schema, Signature, SignatureMorphism, SoundLogic,
                   TypeDomain, table_flow_type_domain, validate_database,
                   validate_db_morphism, validate_lax_morphism,
                   validate_spec_morphism)
-from fole import cli, logic_db, tables
+from fole import cli, logic_db, structure, tables
 from fole.cli import _ordered_tuples, build_parser, cmd_eval, main
 from fole.errors import FoleError, UnresolvedReference
 from fole.workspace import SECTIONS, _shaped, key_name, load_workspace_data
@@ -383,13 +383,27 @@ def test_eval_order_is_enumeration_order(monkeypatch):
     assert {(True, False, True), (True, False, False), (False, True, True)} <= shapes
 
 
-def test_eval_order_with_a_value_twice_in_an_extent():
-    """A value listed twice ranks at its last place and prints once: such a
-    fiber is sorted, never walked."""
-    td = TypeDomain(("S",), {"S": ("b", "a", "b")})
-    sig = Signature.of([("x", "S")])
-    rel = Relation.of(sig, [("a",), ("b",)])
-    assert _ordered_tuples(rel, td) == [("a",), ("b",)]
+def test_eval_rejects_a_value_twice_in_an_extent(tmp_path):
+    """An extent that lists a value twice would make ``forall`` count it
+    twice (``forall[h] P`` held nowhere here, where the oracle gives
+    ``(x)``): the type domain rejects it, naming its sort and the value, and
+    the loader reports that on the type domain."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({
+        "typeDomains": {"A": {"S": ["a", "a"], "D": ["x"]}},
+        "schemas": {"sch": {"sorts": ["S", "D"], "predicates": {
+            "P": [["s", "S"], ["d", "D"]]}}},
+        "sigMorphisms": {"h": {"source": [["d", "D"]],
+                               "target": [["s", "S"], ["d", "D"]],
+                               "map": {"d": "d"}}},
+        "structures": {"M": {"schema": "sch", "typeDomain": "A", "kind": "lax",
+                             "tables": {"P": {"rows": {"k": ["a", "x"]}}}}}}))
+    code, text = run(["eval", "-w", str(path), "-s", "M", "forall[h] P"])
+    assert code == 2
+    assert text.splitlines()[0] == ("ITEM typeDomains/A: FAIL FoleError: extent "
+                                    "of sort 'S' lists value 'a' twice")
+    with pytest.raises(FoleError, match="sort 'S' lists value 'b' twice"):
+        TypeDomain(("S",), {"S": ("b", "a", "b")})
 
 
 class TestCheck:
@@ -768,6 +782,22 @@ class TestOnDemand:
         assert run(["migrate", "-w", FIXTURE, table, morphism, direction,
                     "--out", out]) == (0, f"WROTE {out}\n")
         assert counts == {"Table.validate": 1, "validate_database": 0}
+
+    def test_snd_to_db_builds_each_image_once(self, tmp_path, monkeypatch):
+        """Deciding FK's constraint reads the images of Dept and Emp, and the
+        passage reads every table's: each is built once, for Company's three
+        predicates (five builds before images were kept per structure)."""
+        built = []
+
+        def counting(table):
+            built.append(table)
+            return tables.table_image(table)
+        for module in (cli, logic_db, structure):  # wherever a caller finds it
+            monkeypatch.setattr(module, "table_image", counting, raising=False)
+        out = str(tmp_path / "db.json")
+        assert run(["convert", "-w", FIXTURE, "snd-to-db", "M:FK", "--out", out]) \
+            == (0, f"WROTE {out}\n")
+        assert len(built) == len({id(table) for table in built}) == 3
 
     def test_eval_after_diagnostics_reuses_the_checked_structure(
             self, monkeypatch):

@@ -1,5 +1,6 @@
 """Tables, relations, fiber operations, quantifier flow, type-domain flow."""
 
+import operator
 import random
 import re
 from pathlib import Path
@@ -503,12 +504,7 @@ class TestTypeDomainFlow:
             sig2 = rand_signature(rng, a2, max_len=2)
             t = rand_table(rng, sig2, a2, max_keys=3)
             out = table_flow_type_domain("dextro", m, t, a2, a1)
-            pushed = Signature(sig2.attrs, tuple(m.f[s] for s in sig2.sorts))
-            expected = {}
-            for k2, t2 in t.rows.items():
-                for t1 in enumerate_tuples(pushed, a1):
-                    if tuple(m.g[v] for v in t1) == t2:
-                        expected[(k2, t1)] = t1
+            pushed, expected = oracle_dextro(m, t, a1)
             assert out.signature == pushed
             assert list(out.rows.items()) == list(expected.items())
 
@@ -681,6 +677,42 @@ class TestWideDifferential:
         assert list(out.rows.items()) == \
             list(oracle_substitution(h, table, td).items())
 
+    def test_substitution_of_repeated_rows_against_oracle_in_order(self):
+        """240 keys over at most 8 distinct rows: well-sorted ones (which
+        disagree where a diagonal h merges two attributes), one outside its
+        extents and one short; keys that share a row share its fiber."""
+        shapes = set()
+        for rng, td, h in wide_cases(139, 40):
+            if len(h.target) > 3:  # the oracle scans the target fiber per key
+                continue
+            pool = enumerate_tuples(h.source, td)
+            distinct = rng.sample(pool, min(6, len(pool)))
+            distinct += [("x",) * len(h.source), (distinct or [("x",)])[0][1:]]
+            table = Table(h.source, {f"k{i}": rng.choice(distinct)
+                                     for i in range(240)})
+            out = table_substitution(h, table, td)
+            assert list(out.rows.items()) == \
+                list(oracle_substitution(h, table, td).items())
+            assert_keys_share_fibers(table, out)
+            shapes.add((len(set(h.positions)) < len(h.positions),
+                        not all(td.extents.values()), bool(out.rows)))
+        assert {(True, False, True), (False, True, True),
+                (False, False, True)} <= shapes
+
+
+def assert_keys_share_fibers(table, out):
+    """Each key of ``out`` is ``(k, t)`` valued by ``t`` itself, and the keys
+    ``k`` of ``table`` that hold one row list the very same tuple objects."""
+    fibers = {}
+    for (k, t), row in out.rows.items():
+        assert row is t
+        fibers.setdefault(k, []).append(t)
+    first = {}  # row -> the tuples of the first key that holds it
+    for k, row in table.rows.items():
+        mine = fibers.get(k, [])
+        theirs = first.setdefault(row, mine)
+        assert len(mine) == len(theirs) and all(map(operator.is_, mine, theirs))
+
 
 # The query workload's scale: 3 sorts of 12 values, fibers up to 1728 tuples;
 # E has an empty extent.
@@ -770,6 +802,18 @@ class TestForallAtQueryScale:
         assert "empty-source" in kinds and "empty-free" in kinds
 
 
+def oracle_dextro(m, t, a1):
+    """The pushed signature, and the pullback rows: for each key of ``t``, in
+    order, each tuple of the pushed fiber that ``m.g`` sends onto its row."""
+    pushed = Signature(t.signature.attrs, tuple(m.f[s] for s in t.signature.sorts))
+    expected = {}
+    for k2, t2 in t.rows.items():
+        for t1 in enumerate_tuples(pushed, a1):
+            if tuple(m.g[v] for v in t1) == t2:
+                expected[(k2, t1)] = t1
+    return pushed, expected
+
+
 def wide_infomorphism(rng):
     """(m, a2, a1): a1 has 3 disjoint sorts of 8 values (one sometimes
     empty); g sends each a1 sort onto blocks of a2 values, and each a2 sort
@@ -802,14 +846,39 @@ class TestWideDextro:
                     for i in range(rng.randint(0, 5))}
             t = Table(sig2, rows)
             out = table_flow_type_domain("dextro", m, t, a2, a1)
-            pushed = Signature(sig2.attrs, tuple(m.f[s] for s in sig2.sorts))
-            expected = {}
-            for k2, t2 in t.rows.items():
-                for t1 in enumerate_tuples(pushed, a1):
-                    if tuple(m.g[v] for v in t1) == t2:
-                        expected[(k2, t1)] = t1
+            pushed, expected = oracle_dextro(m, t, a1)
             assert out.signature == pushed
             assert list(out.rows.items()) == list(expected.items())
+
+    def test_dextro_of_repeated_rows_against_oracle_in_order(self):
+        """240 keys over at most 8 distinct rows, some empty (no attributes)
+        or unmapped (a value outside g's image, so no tuple lies over it),
+        over some a1 with an empty extent; keys that share a row share its
+        fiber, and a short row among them is still refused."""
+        rng = random.Random(151)
+        shapes = set()
+        for _ in range(16):
+            m, a2, a1 = wide_infomorphism(rng)
+            sig2 = wide_signature(rng, a2, rng.randint(0, 3))
+            image = set(m.g.values())
+            distinct = [tuple(rng.choice(a2.extent(x)) for x in sig2.sorts)
+                        for _ in range(6)]
+            distinct.append(tuple(([y for y in a2.extent(x) if y not in image]
+                                   or a2.extent(x))[0] for x in sig2.sorts))
+            t = Table(sig2, {f"k{i}": rng.choice(distinct) for i in range(240)})
+            out = table_flow_type_domain("dextro", m, t, a2, a1)
+            pushed, expected = oracle_dextro(m, t, a1)
+            assert out.signature == pushed
+            assert list(out.rows.items()) == list(expected.items())
+            assert_keys_share_fibers(t, out)
+            shapes.add((len(sig2) == 0, not all(a1.extents.values()),
+                        any(set(row) - image for row in distinct), bool(out.rows)))
+            if len(sig2):
+                t.rows["k120"] = distinct[0][1:]
+                with pytest.raises(SignatureMismatch, match="row 'k120'"):
+                    table_flow_type_domain("dextro", m, t, a2, a1)
+        assert {(True, False, False, True), (False, True, True, True),
+                (False, False, True, True)} <= shapes
 
     def test_dextro_of_empty_short_and_unmapped_rows(self):
         m, a2, a1 = wide_infomorphism(random.Random(131))

@@ -98,13 +98,25 @@ any_keys = st.recursive(texts | st.integers() | st.booleans() | st.none(),
                         max_leaves=6)
 
 
-@settings(max_examples=200, deadline=None)
+# Pullback keys (k, t): heads are names, integers, None or pullback keys
+# (nested substitution); tails are tuples of strings, save in some batches,
+# which hold tails with other members or a string for a tail.
+string_tails = st.lists(texts, max_size=3).map(tuple)
+pullback_heads = st.recursive(texts | st.integers() | st.none(),
+                              lambda heads: st.tuples(heads, string_tails),
+                              max_leaves=3)
+odd_tails = st.lists(texts | st.integers() | st.none(), max_size=3).map(tuple) | texts
+pullback_batches = st.sampled_from([string_tails, string_tails | odd_tails]).flatmap(
+    lambda tails: st.lists(st.tuples(pullback_heads, tails), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.lists(any_keys, max_size=8) | st.lists(keys, max_size=8)
        | st.integers(0, 3).flatmap(lambda n: st.lists(
-           st.tuples(*[keys] * n), max_size=8)))
+           st.tuples(*[keys] * n), max_size=8)) | pullback_batches)
 def test_key_names_match_recursive_naming(batch):
-    """Batches of mixed shapes, and of tuples of one length (the
-    column-at-a-time path)."""
+    """Batches of mixed shapes, of tuples of one length (the column-at-a-time
+    path) and of pullback keys (the one-pass path)."""
     assert key_names(batch) == [reference_key_name(k) for k in batch]
     assert [key_name(k) for k in batch] == key_names(batch)
 
@@ -162,6 +174,8 @@ def test_signature_written_as_pairs():
 @pytest.mark.parametrize("rows", [
     {("a", "b"): ("v",), "(a,b)": ("w",)},
     {("k", ("a,b", "c")): ("v",), ("k", ("a", "b,c")): ("w",)},
+    {(1, ("a",)): ("v",), ("1", ("a",)): ("w",)},
+    {(("k", ("a",)), ("b",)): ("v",), ("(k,(a))", ("b",)): ("w",)},
 ])
 def test_colliding_key_names_raise(rows):
     table = Table(Signature.of([("0", "S")]), rows)
