@@ -72,42 +72,52 @@ def key_name(key) -> str:
 
 
 def key_names(keys) -> list:
-    """``key_name`` of each key (a tuple: its members' names, comma-joined in
-    parentheses), a column at a time where all are tuples of one length; a
-    pullback key ``(k, t)``, ``t`` a tuple of strings, in one pass."""
-    if all(map(isinstance, keys, repeat(str))):
-        return list(keys)
-    if keys[0] and all(map(isinstance, keys, repeat(tuple))) \
-            and len(set(map(len, keys))) == 1:
-        with suppress(TypeError):  # from ",".join: a member is not a string
-            return [f"({s})" for s in map(",".join, keys)]
-        heads, tails = zip(*keys) if len(keys[0]) == 2 else ((), ())
-        if tails and all(map(isinstance, tails, repeat(tuple))):
-            with suppress(TypeError):  # a member of a tail is not a string
-                return [f"({h},({','.join(t)}))" for h, t in zip(key_names(heads), tails)]
-        return [f"({s})" for s in map(",".join, zip(*map(key_names, zip(*keys))))]
+    """``key_name`` of each key: a tuple's members' names, comma-joined in parentheses."""
+    return _named(keys)[0]
+
+
+_SHAPES = (lambda keys: [k for k in keys if k.__class__ is str],  # loaded keys
+           lambda keys: [f"({','.join(k)})" for k in keys if k.__class__ is tuple],  # images'
+           lambda keys: [f"({h},({','.join(t)}))" for h, t in keys  # pullbacks' (k, t)
+                         if h.__class__ is str and t.__class__ is tuple])
+
+
+def _named(keys) -> tuple:
+    """``key_names(keys)``, and whether one pass of ``_SHAPES`` named them all."""
+    for shape in _SHAPES[bool(keys) and keys[0].__class__ is tuple:]:  # a tuple is no string
+        with suppress(TypeError, ValueError):  # from a join or an unpacking
+            if len(names := shape(keys)) == len(keys):
+                return names, True
     return [f"({','.join(key_names(k))})" if isinstance(k, tuple) else str(k)
-            for k in keys]
+            for k in keys], False
 
 
 _ENC = json.encoder.encode_basestring_ascii
 
 
-def _object(mapping: dict, texts, pad: str) -> str:
+def _object(mapping: dict, texts, pad: str, seen) -> str:
     """``mapping`` at ``pad``: keys by name, sorted, valued by ``texts(values)``.
-    Two keys with one name raise ``KeyCollision``, as JSON keeps only one."""
-    names = key_names(list(mapping))
-    named = dict(zip(names, mapping.values()))
-    if len(named) < len(mapping):
-        first = {}
-        for k, name in zip(mapping, names):
-            if first.setdefault(name, k) != k:
-                raise KeyCollision(f"keys {first[name]!r} and {k!r} are both "
-                                   f"written as {name!r}")
-    names, inner = sorted(named), pad + "  "
-    entries = zip(map(_ENC, names), texts(list(map(named.__getitem__, names))))
-    body = ("," + inner).join([f"{n}: {t}" for n, t in entries])
-    return "".join(("{", inner, body, pad, "}")) if names else "{}"
+    Two keys with one name raise ``KeyCollision``, as JSON keeps only one.
+    A key set kept in ``seen`` lends its names and order to an equal set."""
+    for keys, names, order, encoded in seen or ():
+        if keys == mapping.keys():
+            named = dict(zip(names, map(mapping.__getitem__, keys)))
+            break
+    else:
+        names, plain = _named(list(mapping))
+        named = dict(zip(names, mapping.values()))
+        if len(named) < len(mapping):
+            first = {}
+            for k, name in zip(mapping, names):
+                if first.setdefault(name, k) != k:
+                    raise KeyCollision(f"keys {first[name]!r} and {k!r} are both "
+                                       f"written as {name!r}")
+        encoded = list(map(_ENC, order := sorted(named)))
+        if plain and seen is not None:  # of strings and tuples: equal keys, one name
+            seen.append((mapping.keys(), names, order, encoded))
+    entries = zip(encoded, texts(list(map(named.__getitem__, order))))
+    body = f",{pad}  ".join([f"{n}: {t}" for n, t in entries])
+    return "".join(("{", pad, "  ", body, pad, "}")) if order else "{}"
 
 
 def _rows(rows: list, pad: str):
@@ -124,10 +134,10 @@ def _rows(rows: list, pad: str):
     return texts if distinct is rows else map(dict(zip(distinct, texts)).get, rows)
 
 
-def table_to_json(table: Table, pad: str = "\n") -> str:
+def table_to_json(table: Table, pad: str = "\n", seen=None) -> str:
     """The table as ``dump_json`` writes it at ``pad``, rows sorted by name."""
     p2 = pad + "  "
-    rows = _object(table.rows, partial(_rows, pad=p2 + "  "), p2)
+    rows = _object(table.rows, partial(_rows, pad=p2 + "  "), p2, seen)
     return "".join(("{", p2, '"rows": ', rows, ",", p2, '"signature": ',
                     _dump(table.signature, p2), pad, "}"))
 
@@ -136,20 +146,20 @@ def dump_json(payload) -> str:
     """Exactly ``json.dumps(payload, indent=2, sort_keys=True)``; the payload
     may also hold a ``Signature`` (written as its pairs), a ``Table`` (as
     ``table_to_json``) and a ``TableMorphism`` (its key map, by ``key_name``)."""
-    return _dump(payload, "\n")
+    return _dump(payload, "\n", [])
 
 
-def _dump(obj, pad: str) -> str:
+def _dump(obj, pad: str, seen=None) -> str:
     """``obj`` as ``dump_json`` writes it at ``pad``: a newline and its indent."""
-    _render(obj, pad, out := [])  # every piece of the text, joined once
+    _render(obj, pad, out := [], seen)  # every piece of the text, joined once
     return "".join(out)
 
 
-def _render(obj, pad: str, out: list) -> None:
+def _render(obj, pad: str, out: list, seen) -> None:
     if isinstance(obj, Table):
-        return out.append(table_to_json(obj, pad))
+        return out.append(table_to_json(obj, pad, seen))
     if isinstance(obj, TableMorphism):
-        return out.append(_object(obj.key_map, lambda ts: map(_ENC, key_names(ts)), pad))
+        return out.append(_object(obj.key_map, lambda ts: map(_ENC, key_names(ts)), pad, seen))
     if isinstance(obj, Signature):
         obj = obj.pairs()
     if not obj or not isinstance(obj, (dict, list, tuple)):  # json.dumps: {} and []
@@ -162,7 +172,7 @@ def _render(obj, pad: str, out: list) -> None:
     lead, sep = ("{" if keyed else "[") + inner, "," + inner
     for v in sorted(obj) if keyed else obj:
         out.append(f"{lead}{_ENC(v)}: " if keyed else lead)
-        _render(obj[v] if keyed else v, inner, out)
+        _render(obj[v] if keyed else v, inner, out, seen)
         lead = sep  # one object, not a new string per entry
     out.append(pad + ("}" if keyed else "]"))
 

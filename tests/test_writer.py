@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fole import (Signature, SignatureMorphism, Table, TableMorphism, cli,
                   key_equivalent)
 from fole.errors import KeyCollision
-from fole.workspace import (dump_json, key_name, key_names,
+from fole.workspace import (_named, dump_json, key_name, key_names,
                             load_workspace_data, table_to_json)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -115,10 +115,21 @@ pullback_batches = st.sampled_from([string_tails, string_tails | odd_tails]).fla
        | st.integers(0, 3).flatmap(lambda n: st.lists(
            st.tuples(*[keys] * n), max_size=8)) | pullback_batches)
 def test_key_names_match_recursive_naming(batch):
-    """Batches of mixed shapes, of tuples of one length (the column-at-a-time
-    path) and of pullback keys (the one-pass path)."""
+    """Batches of mixed shapes, of tuples of one length and of pullback keys
+    (the one-pass shapes, where their members are strings)."""
     assert key_names(batch) == [reference_key_name(k) for k in batch]
     assert [key_name(k) for k in batch] == key_names(batch)
+
+
+@pytest.mark.parametrize("batch", [
+    [("k", ("a",)), "ab", ("m", ("b", "c"))],
+    [("k", ("a",)), ("m", ("b", 1)), ("n", (None,))],
+    [(("k", ("a",)), ("b",)), (("m", ("c", "d")), ("e",))],
+    [],
+], ids=["two-character-string", "non-string-tail", "tuple-heads", "empty"])
+def test_key_names_beside_the_one_pass_shapes(batch):
+    """Batches that look like pullback keys but are not, and the empty one."""
+    assert key_names(batch) == [reference_key_name(k) for k in batch]
 
 
 @st.composite
@@ -315,3 +326,69 @@ def test_db_image_output_loads_back(tmp_path, monkeypatch, workspace):
     assert {p: tm.key_map for p, tm in db.constraint_morphism.items()} == {
         p: {key_name(k): key_name(v) for k, v in tm.key_map.items()}
         for p, tm in sent["constraintKeyMaps"].items()}
+
+
+# dump_json names and sorts each key set of strings and tuples once per
+# call: a mapping with equal keys, as a constraint key map has its target
+# table's, reuses those names and that order.
+
+def payload_reference(payload: dict) -> str:
+    return reference({
+        n: table_reference(v) if isinstance(v, Table)
+        else {reference_key_name(k): reference_key_name(t)
+              for k, t in v.key_map.items()}
+        for n, v in payload.items()})
+
+
+def test_equal_key_sets_of_one_and_true_keep_their_own_names():
+    sig = Signature.of([("x", "S")])
+    ones = Table(sig, {(1,): ("a",), ("x",): ("b",)})
+    trues = Table(sig, {(True,): ("c",), ("x",): ("d",)})
+    assert ones.rows.keys() == trues.rows.keys()
+    payload = {"a": ones, "b": trues}
+    assert dump_json(payload) == payload_reference(payload)
+    assert json.loads(dump_json(payload))["b"]["rows"] == {
+        "(True)": ["c"], "(x)": ["d"]}
+
+
+def key_map_onto(table: Table, keys) -> TableMorphism:
+    """A key map with ``keys``, onto every tenth key of ``table``."""
+    targets = list(table.rows)[::10]
+    return TableMorphism(SignatureMorphism.identity(table.signature),
+                         {k: targets[i % len(targets)] for i, k in enumerate(keys)})
+
+
+@pytest.mark.parametrize("first", ["table", "map"])
+def test_key_map_over_a_tables_keys_in_another_order(monkeypatch, first):
+    table, _ = large_keyed(3)
+    keys = list(table.rows)
+    random.Random(3).shuffle(keys)
+    names = ("a", "b") if first == "table" else ("b", "a")
+    payload = dict(zip(names, (table, key_map_onto(table, keys))))
+    named = []
+    monkeypatch.setattr("fole.workspace._named", lambda ks: named.append(
+        set(ks) == table.rows.keys()) or _named(ks))
+    assert dump_json(payload) == payload_reference(payload)
+    assert named.count(True) == 1  # the key set is named once
+
+
+def test_key_map_whose_keys_differ_from_a_tables_by_one():
+    table, _ = large_keyed(4)
+    keys = list(table.rows)
+    keys[len(keys) // 2] = ("other", ("a", "b"))
+    payload = {"a": table, "b": key_map_onto(table, keys)}
+    assert len(payload["b"].key_map) == len(table.rows)
+    assert dump_json(payload) == payload_reference(payload)
+
+
+@pytest.mark.parametrize("first", ["table", "map"])
+def test_colliding_names_in_a_shared_key_set_raise(first):
+    rows = {("k", ("a,b", "c")): ("v",), ("k", ("a", "b,c")): ("w",),
+            ("m", ("d",)): ("x",)}
+    table = Table(Signature.of([("0", "S")]), rows)
+    names = ("a", "b") if first == "table" else ("b", "a")
+    payload = dict(zip(names, (table, key_map_onto(table, reversed(list(rows))))))
+    with pytest.raises(KeyCollision) as info:
+        dump_json(payload)
+    assert "('k', ('a,b', 'c'))" in str(info.value)
+    assert "('k', ('a', 'b,c'))" in str(info.value)
