@@ -201,19 +201,15 @@ class DatabaseMorphism(Record):
     key_bridge: dict[str, dict[Key, Key]]
 
 
-def validate_db_morphism(dm: DatabaseMorphism, db2: Database, db1: Database,
-                         spec_checked=False) -> None:
-    """Check the spec morphism (unless ``spec_checked``: it passed over these
-    two specs) and the key condition, with exact key bridges, each bridge once.
+def validate_db_morphism(dm: DatabaseMorphism, db2: Database, db1: Database) -> None:
+    """Check the spec morphism and the key condition, with exact key bridges.
 
     Naturality squares follow: at each key ``k1`` of ``c1``'s target table, the
     rows of ``kappa_src[k1_map[k1]]`` and ``k2_map[kappa_tgt[k1]]`` both read
     ``g(rows1[k1])`` through ``bridge_tgt o h2 = h1 o bridge_src``, a square
     that ``validate_spec_morphism`` checks."""
-    if not spec_checked:
-        validate_spec_morphism(dm.spec_morphism, db2.schema, db1.schema)
-    validate_lax_morphism(_db_mor_to_lax(dm), db2.structure, db1.structure,
-                          bridges_checked=True)
+    validate_spec_morphism(dm.spec_morphism, db2.schema, db1.schema)
+    validate_lax_morphism(_db_mor_to_lax(dm), db2.structure, db1.structure)
 
 
 def _db_mor_to_lax(dm: DatabaseMorphism) -> LaxStructureMorphism:

@@ -366,17 +366,14 @@ def check_bridge(r2: str, sig2: Signature, sort_map: Mapping[str, str],
 
 
 def validate_lax_morphism(lm: LaxStructureMorphism, m2: LaxStructure,
-                          m1: LaxStructure, bridges_checked=False) -> None:
+                          m1: LaxStructure) -> None:
     """Check the bridge at every predicate and the key condition at each key;
-    a key bridge is exact: it maps the keys of ``m1``'s table and no other.
-    With ``bridges_checked`` (under a spec morphism's sort map), a bridge is
-    checked again only where ``lm``'s sort map pushes its source elsewhere."""
+    a key bridge is exact: it maps the keys of ``m1``'s table and no other."""
     check_type_domain_morphism(lm.td_morphism, m2.type_domain, m1.type_domain)
     for r2, sig2 in m2.schema.predicates.items():
         r1 = entry(lm.predicate_map, r2, "predicate map")
         bridge = entry(lm.schema_bridge, r2, "bridge")
-        if not bridges_checked or pushed_signature(sig2, lm.td_morphism.f) != bridge.source:
-            check_bridge(r2, sig2, lm.td_morphism.f, bridge, m1.schema, r1)
+        check_bridge(r2, sig2, lm.td_morphism.f, bridge, m1.schema, r1)
         kappa = entry(lm.key_bridge, r2, "key bridge")
         t2 = m2.table_of[r2]
         t1 = m1.table_of[r1]

@@ -83,11 +83,17 @@ _SHAPES = (lambda keys: [k for k in keys if k.__class__ is str],  # loaded keys
 
 
 def _named(keys) -> tuple:
-    """``key_names(keys)``, and whether one pass of ``_SHAPES`` named them all."""
+    """``key_names(keys)``, and whether they were named in bulk: by one pass of
+    ``_SHAPES``, or, for tuples of one length such as ``((k, t), t')``, a
+    column at a time, each column in bulk."""
     for shape in _SHAPES[bool(keys) and keys[0].__class__ is tuple:]:  # a tuple is no string
         with suppress(TypeError, ValueError):  # from a join or an unpacking
             if len(names := shape(keys)) == len(keys):
                 return names, True
+    if keys and set(map(type, keys)) == {tuple}:
+        with suppress(ValueError):  # from tuples of different lengths
+            names, plain = zip(*map(_named, map(list, zip(*keys, strict=True))))
+            return [f"({','.join(parts)})" for parts in zip(*names)], all(plain)
     return [f"({','.join(key_names(k))})" if isinstance(k, tuple) else str(k)
             for k in keys], False
 
@@ -428,15 +434,14 @@ def _db_morphism(ws: Workspace, name: str, data):
     db2 = ws.require("database", data["source"])
     db1 = ws.require("database", data["target"])
     td_mor, _, _ = ws.require("typeDomainMorphism", data["typeDomainMorphism"])
-    if isinstance(data.get("specMorphism"), str):  # validated when it loaded
-        sm, *ends = ws.require("specMorphism", data["specMorphism"])
-        checked = [ws.require("spec", t) for t in ends] == [db2.schema, db1.schema]
+    if isinstance(data.get("specMorphism"), str):
+        sm, _, _ = ws.require("specMorphism", data["specMorphism"])
     else:
-        sm, checked = _spec_morphism_of(data, db2.schema, db1.schema), False
+        sm = _spec_morphism_of(data, db2.schema, db1.schema)
     dm = DatabaseMorphism(
         spec_morphism=sm, td_morphism=td_mor,
         key_bridge={r: dict(km) for r, km in data["keyBridges"].items()})
-    validate_db_morphism(dm, db2, db1, checked)
+    validate_db_morphism(dm, db2, db1)
     return dm, data["source"], data["target"]
 
 

@@ -1,5 +1,6 @@
 """Sound logics, databases, conversion passages, and the reflection laws."""
 
+import copy
 import functools
 import io
 import json
@@ -49,8 +50,8 @@ from fole.errors import (
     UnknownPredicate,
     UnresolvedReference,
 )
-from fole import specs, structure, tables
-from fole.cli import main
+from fole import specs, tables
+from fole.cli import cmd_check, main
 from fole.errors import FoleError
 from fole.specs import satisfies_spec
 from fole.workspace import load_workspace, load_workspace_data
@@ -621,13 +622,11 @@ class TestPassagesNeedNoCheck:
 
 class TestPassagesCheckNothingTheyBuild:
     """Counted on the fixture: a conversion validates only what the loader
-    reads, and the loader checks each bridge once."""
+    reads."""
 
     def counts(self, monkeypatch) -> dict:
-        counts = dict.fromkeys(["validate", "satisfies_constraint", "check_bridge"], 0)
-        for owner, name in [(tables.Table, "validate"),
-                            (specs, "satisfies_constraint"),
-                            (structure, "check_bridge"), (specs, "check_bridge")]:
+        counts = dict.fromkeys(["validate", "satisfies_constraint"], 0)
+        for owner, name in [(tables.Table, "validate"), (specs, "satisfies_constraint")]:
             def counting(*args, _fn=getattr(owner, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
@@ -649,12 +648,29 @@ class TestPassagesCheckNothingTheyBuild:
         assert self.convert(tmp_path, "db-to-snd", "DB") == 0
         assert counts["satisfies_constraint"] == 0
 
-    def test_loading_checks_each_bridge_once(self, monkeypatch):
-        """idFK, idM and idDB each have three bridges; idDB's are idFK's,
-        which the loader checked when idFK loaded."""
-        counts = self.counts(monkeypatch)
-        assert not load_workspace(FIXTURE).diagnostics
-        assert counts["check_bridge"] == 6
+    @pytest.mark.parametrize("broken", ["none", "keyBridges", "bridges"])
+    def test_named_and_inline_spec_morphisms_agree(self, broken):
+        """``check morphism idDB`` decides the same with idFK named as with
+        idFK written inline: on the fixture, with a broken key bridge, and
+        with a bridge that breaks sorts, which the named form reports on idFK."""
+        named = json.load(open(FIXTURE))
+        if broken == "keyBridges":
+            named["dbMorphisms"]["idDB"]["keyBridges"]["Emp"] = {"k1": "k2", "k2": "k1"}
+        elif broken == "bridges":
+            named["specMorphisms"]["idFK"]["bridges"]["Emp"] = {"name": "dept",
+                                                                 "dept": "name"}
+        inline = copy.deepcopy(named)
+        db = inline["dbMorphisms"]["idDB"]
+        sm = inline["specMorphisms"].pop(db.pop("specMorphism"))
+        db.update({k: v for k, v in sm.items() if k not in ("source", "target")})
+
+        def verdicts(raw, names):
+            out = io.StringIO()
+            cmd_check(load_workspace_data(raw), "morphism", names, out=out)
+            return [line.split(": ", 1)[1] for line in out.getvalue().splitlines()]
+        first = verdicts(named, ["idFK", "idDB"])
+        assert verdicts(inline, ["idDB"]) == [next((v for v in first if v != "OK"), "OK")]
+        assert (first == ["OK", "OK"]) == (broken == "none")
 
     def test_named_spec_morphism_over_other_specs_is_checked(self):
         """A named spec morphism is taken as checked only over the two

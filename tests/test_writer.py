@@ -132,6 +132,33 @@ def test_key_names_beside_the_one_pass_shapes(batch):
     assert key_names(batch) == [reference_key_name(k) for k in batch]
 
 
+@pytest.mark.parametrize("key", [
+    lambda i: ((f"k{i}", (f"a{i % 7}", f"b{i % 5}")), (f"a{i % 7}", f"b{i % 5}", f"c{i}")),
+    lambda i: ((f"b{i % 12}",), (f"a{i // 12}", f"b{i % 12}")),
+], ids=["subst-of-subst", "subst-of-compound"])
+def test_nested_keys_are_named_a_column_at_a_time(monkeypatch, key):
+    """Pullback keys whose head is a tuple fit no one-pass shape: their
+    columns do, so naming 200 of them takes a call per column, not per key."""
+    batch = [key(i) for i in range(200)]
+    calls = []
+    monkeypatch.setattr("fole.workspace._named",
+                        lambda ks: calls.append(len(ks)) or _named(ks))
+    assert key_names(batch) == [reference_key_name(k) for k in batch]
+    assert calls == [200] * 3  # the batch, then its two columns
+
+
+def test_equal_nested_key_sets_of_one_and_true_keep_their_own_names():
+    """A key set named a column at a time is reused only if each column
+    held strings alone."""
+    sig = Signature.of([("x", "S")])
+    ones = Table(sig, {((1,), ("a",)): ("a",), (("x",), ("b",)): ("b",)})
+    trues = Table(sig, {((True,), ("a",)): ("c",), (("x",), ("b",)): ("d",)})
+    payload = {"a": ones, "b": trues}
+    assert dump_json(payload) == payload_reference(payload)
+    assert json.loads(dump_json(payload))["b"]["rows"] == {
+        "((True),(a))": ["c"], "((x),(b))": ["d"]}
+
+
 @st.composite
 def tables(draw):
     arity = draw(st.integers(0, 3))
