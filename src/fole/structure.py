@@ -8,6 +8,7 @@ tables (keyed semantics); the two agree through ``table_image``.
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping
+from functools import cached_property
 from typing import Any, Callable, Hashable, Optional
 
 from .core import (
@@ -282,11 +283,17 @@ def satisfies_sequent(m: LaxStructure, q: Sequent) -> bool:
 class ConstraintVerdict(Record):
     constraint: str
     satisfied: bool
-    witness: Optional[TableMorphism] = None
     violating_tuple: Optional[Row] = None
 
     def __bool__(self) -> bool:
         return self.satisfied
+
+    @cached_property
+    def witness(self) -> Optional[TableMorphism]:
+        """``k -> h.project(k)`` from the kept projections, built on first read;
+        ``None`` for a refuted verdict, which keeps none."""
+        h, targets, projected = vars(self).pop("_kept", (None, (), ()))
+        return None if h is None else TableMorphism(h, dict(zip(targets, projected)))
 
 
 def satisfies_constraint(m: LaxStructure, c: Constraint) -> ConstraintVerdict:
@@ -294,9 +301,9 @@ def satisfies_constraint(m: LaxStructure, c: Constraint) -> ConstraintVerdict:
     source.  (The adjoint form, target within the preimage of the source, is
     equivalent; tests check that the two agree.)
 
-    On success the witness is the table morphism between the tuple-keyed
-    interpretations, with the canonical key choice (precomposition along the
-    constraint's signature morphism)."""
+    On success the verdict keeps the projections; its witness, built when
+    first read, is the table morphism between the tuple-keyed interpretations,
+    with the canonical key choice (precomposition along ``c``'s morphism)."""
     c.check(m.schema)  # the one type check of both sides
     h = c.morphism
     targets = list(_interpret(m, c.target).tuples)   # over h.target
@@ -305,9 +312,10 @@ def satisfies_constraint(m: LaxStructure, c: Constraint) -> ConstraintVerdict:
     if not r_source.tuples.issuperset(projected):
         bad = min(t for t, s in zip(targets, projected)
                   if s not in r_source.tuples)
-        return ConstraintVerdict(c.name, False, None, bad)
-    witness = TableMorphism(h, dict(zip(targets, projected)))
-    return ConstraintVerdict(c.name, True, witness, None)
+        return ConstraintVerdict(c.name, False, bad)
+    verdict = ConstraintVerdict(c.name, True, None)
+    verdict._kept = h, targets, projected
+    return verdict
 
 
 def intent_contains(m: LaxStructure, c: Constraint) -> bool:

@@ -17,16 +17,20 @@ from fole import (
     Schema,
     Signature,
     SignatureMorphism,
+    SoundLogic,
     SpecMorphism,
     Table,
+    TableMorphism,
     TypeDomain,
     abstract_table_passage,
     check_table_morphism,
     companion_formal,
+    infer_signature,
     interpret_relation,
     relation_include,
     satisfies_constraint,
     satisfies_spec,
+    snd_to_db,
     validate_spec_morphism,
 )
 from fole.errors import (
@@ -37,8 +41,10 @@ from fole.errors import (
     Unsatisfied,
 )
 from generators import (
+    rand_formula,
     rand_lax_structure,
     rand_satisfied_pair,
+    rand_sig_morphism,
     rand_spec,
     rand_type_domain,
     unit_composite_pair,
@@ -104,6 +110,85 @@ class TestSatisfiesSpec:
             td = rand_type_domain(rng)
             m, spec = rand_satisfied_pair(rng, td)
             assert satisfies_spec(m, spec).satisfied
+
+
+def witness_cases():
+    """Constraints over seeded structures, each with its structure: the
+    generating constraints of a repaired (satisfied) or random spec, with a
+    target table emptied now and then, plus one between random formulas."""
+    for i in range(240):
+        rng = random.Random(2300 + i)
+        td = rand_type_domain(rng, min_extent=i % 2)
+        if i % 2:
+            m, spec = rand_satisfied_pair(rng, td)
+        else:
+            spec = rand_spec(rng, td)
+            m = rand_lax_structure(rng, spec.schema, td)
+        constraints = list(companion_formal(spec).constraints.values())
+        if i % 5 == 0 and constraints:
+            r = rng.choice(constraints).target.predicate
+            m.table_of[r] = Table(m.table_of[r].signature, {})
+        target = rand_formula(rng, spec.schema, td, depth=2)
+        h = rand_sig_morphism(rng, infer_signature(target, spec.schema))
+        source = rand_formula(rng, spec.schema, td, h.source, depth=2)
+        for c in constraints + [Constraint(f"f{i}", source, target, h)]:
+            yield m, c
+
+
+class TestWitness:
+    def test_witness_matches_the_projection_oracle(self):
+        """The witness built on first read is the map from each tuple of the
+        target's image to its projection; a refuted verdict has none."""
+        seen = dict.fromkeys(["satisfied", "refuted", "empty target",
+                              "one attribute", "not injective"], 0)
+        cases = list(witness_cases())
+        assert len(cases) >= 200
+        for m, c in cases:
+            h, verdict = c.morphism, satisfies_constraint(m, c)
+            image = interpret_relation(m, c.target).tuples
+            if not verdict.satisfied:
+                seen["refuted"] += 1
+                assert verdict.witness is None
+                continue
+            expected = TableMorphism(h, {t: h.project(t) for t in image})
+            assert verdict.witness == expected
+            assert verdict.witness is verdict.witness  # built once
+            check_table_morphism(
+                verdict.witness,
+                relation_include(interpret_relation(m, c.source)),
+                relation_include(interpret_relation(m, c.target)))
+            seen["satisfied"] += 1
+            seen["empty target"] += not image
+            seen["one attribute"] += len(h.source) == 1
+            seen["not injective"] += len(set(map(h.project, image))) < len(image)
+        assert all(seen.values()), seen
+
+    def test_deciding_builds_no_key_map(self):
+        """``satisfies_spec`` decides by the projections it keeps; a
+        verdict's key map is built only when its witness is read."""
+        rng = random.Random(23)
+        for _ in range(40):
+            m, spec = rand_satisfied_pair(rng, rand_type_domain(rng, min_extent=1))
+            report = satisfies_spec(m, spec)
+            assert report.satisfied
+            assert not any("witness" in vars(v) for v in report.verdicts.values())
+        report = satisfies_spec(consistent_structure(), FK)
+        assert "witness" not in vars(report.verdicts["empDept"])
+        assert report.verdicts["empDept"].witness.key_map == {
+            ("ann", "hr"): ("hr",), ("bob", "hr"): ("hr",)}
+
+    def test_snd_to_db_projects_no_tuple_again(self, monkeypatch):
+        """The passage's key maps are the verdicts' witnesses, built from
+        the projections that deciding satisfaction kept."""
+        logic = SoundLogic(consistent_structure(), FK)
+        calls = []
+        for c in FK.constraints.values():  # past the cached ``project``
+            monkeypatch.setitem(vars(c.morphism), "project",
+                                lambda t, p=c.morphism.project: calls.append(t) or p(t))
+        db = snd_to_db(logic)
+        assert calls == []
+        assert db.constraint_morphism["empDept"] is \
+            logic.report.verdicts["empDept"].witness
 
 
 class TestTablePassage:
