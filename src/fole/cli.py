@@ -15,12 +15,12 @@ import json
 import sys
 
 from .errors import FoleError, UnresolvedReference
-from .formula import parse_formula
-from .logic_db import Database, SoundLogic, db_image, db_to_snd, snd_to_db
+from .formula import Schema, parse_formula
+from .logic_db import SoundLogic, db_image, db_to_snd, snd_to_db
 from .specs import satisfies_spec
-from .structure import interpret_relation, interpret_table
+from .structure import LaxStructure, interpret_relation, interpret_table
 from .tables import table_flow_type_domain, table_image
-from .workspace import SECTIONS, Workspace, dump_json, key_names, load_workspace
+from .workspace import SECTIONS, Workspace, dump_json, fragment, key_names, load_workspace
 
 
 def _emit(out, text: str):
@@ -124,24 +124,6 @@ def cmd_check(ws: Workspace, what: str, names: list[str],
     return _report(out, as_json, lines)
 
 
-def _fragment(db: Database, section: str, name: str, item: dict) -> dict:
-    """``db``'s type domain, schema and spec, plus ``item`` in ``section``."""
-    spec, schema = db.schema, db.schema.schema
-    return {
-        "typeDomains": {"typeDomain": db.type_domain.extents},
-        "schemas": {"schema": {"sorts": schema.sorts, "signatures": schema.signatures,
-                               "predicates": schema.predicates}},
-        "specs": {"spec": {"schema": "schema", "constraints": {
-            p: {"sourcePredicate": c.source_predicate,
-                "targetPredicate": c.target_predicate,
-                "h": dict(c.morphism.mapping)}
-            for p, c in spec.constraints.items()},
-            "composites": [{"path": d.path, "equals": d.equals}
-                           for d in spec.composites]}},
-        section: {name: item},
-    }
-
-
 def _write(out_path: str, frag: dict, out) -> int:
     text = dump_json(frag) + "\n"
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -158,18 +140,16 @@ def cmd_convert(ws: Workspace, direction: str, name: str, out_path: str,
             raise UnresolvedReference("STRUCTURE:SPEC", name)
         m = ws.require("structure", struct_name).lax
         db = snd_to_db(SoundLogic(m, ws.require("spec", spec_name)))
-        name = f"{struct_name}__{spec_name}"
+        written = {"database": {f"{struct_name}__{spec_name}": db}}
     elif direction == "db-image":
         db = db_image(ws.require("database", name))
-        name = f"{name}_image"
+        written = {"database": {f"{name}_image": db}}
     else:  # db-to-snd, the one other direction the parser admits
         db = ws.require("database", name)
-        return _write(out_path, _fragment(db, "structures", f"{name}_structure", {
-            "schema": "schema", "typeDomain": "typeDomain", "kind": "lax",
-            "tables": db_to_snd(db).structure.table_of}), out)
-    return _write(out_path, _fragment(db, "databases", name, {
-        "schema": "spec", "typeDomain": "typeDomain", "tables": db.table_of,
-        "constraintKeyMaps": db.constraint_morphism}), out)
+        written = {"structure": {f"{name}_structure": db_to_snd(db).structure}}
+    return _write(out_path, fragment({
+        "typeDomain": {"typeDomain": db.type_domain}, "schema": {"schema": db.schema.schema},
+        "spec": {"spec": db.schema}, **written}), out)
 
 
 def cmd_migrate(ws: Workspace, table_name: str, morphism_name: str,
@@ -186,14 +166,11 @@ def cmd_migrate(ws: Workspace, table_name: str, morphism_name: str,
     migrated = table_flow_type_domain(direction, m, structure.table_of[predicate],
                                       a2, a1, checked=structure.type_domain)
     target_td, target_name = (a1, a1_name) if direction == "dextro" else (a2, a2_name)
-    return _write(out_path, {
-        "typeDomains": {target_name: target_td.extents},
-        "schemas": {"schema": {"sorts": target_td.sorts,
-                               "predicates": {"migrated": migrated.signature}}},
-        "structures": {"migrated": {
-            "schema": "schema", "typeDomain": target_name, "kind": "lax",
-            "tables": {"migrated": migrated}}},
-    }, out)
+    schema = Schema(target_td.sorts, {"migrated": migrated.signature}, {})
+    return _write(out_path, fragment({
+        "typeDomain": {target_name: target_td}, "schema": {"schema": schema},
+        "structure": {"migrated": LaxStructure(schema, target_td, {"migrated": migrated})},
+    }), out)
 
 
 @functools.cache

@@ -43,9 +43,6 @@ class Table(Record):
     def keys(self) -> list[Key]:
         return list(self.rows)
 
-    def tuple_of(self, key: Key) -> Row:
-        return self.rows[key]
-
     def validate(self, td: TypeDomain) -> None:
         sig = self.signature
         members = [frozenset(td.extents.get(s, ())) for s in sig.sorts]

@@ -1,4 +1,4 @@
-"""Workspace file loading: one JSON file holding every named item.
+"""Workspace files: one JSON file holding every named item.
 
 Top-level keys, in load order (``SECTIONS``): "typeDomains", "schemas",
 "sigMorphisms", "typeDomainMorphisms", "structures", "specs", "databases",
@@ -9,7 +9,7 @@ section is a ``Lazy`` mapping: an item is built and validated on its first
 lookup.  A structure's tables are a ``Lazy`` mapping too, each table built
 and checked on its first read: its section reads every table, while
 ``Workspace.structure`` reads none.  Failures are kept as diagnostics, not
-raised.
+raised.  ``fragment`` writes items back, each by its section's ``dump``.
 """
 
 from __future__ import annotations
@@ -391,6 +391,13 @@ def _spec(ws: Workspace, name: str, data) -> AbstractSpec:
     return spec
 
 
+def _dump_spec(spec: AbstractSpec, names: dict) -> dict:
+    return {"schema": names[id(spec.schema)], "constraints": {
+        p: {"sourcePredicate": c.source_predicate, "targetPredicate": c.target_predicate,
+            "h": dict(c.morphism.mapping)} for p, c in spec.constraints.items()},
+        "composites": [{"path": d.path, "equals": d.equals} for d in spec.composites]}
+
+
 def _database(ws: Workspace, name: str, data) -> Database:
     spec = ws.require("spec", data["schema"])
     td = ws.require("typeDomain", data["typeDomain"])
@@ -445,12 +452,21 @@ def _db_morphism(ws: Workspace, name: str, data):
     return dm, data["source"], data["target"]
 
 
+def fragment(items: dict) -> dict:
+    """The workspace data that loads back to ``items``, ``{section: {name: item}}``:
+    each item by its section's ``dump``, an item it refers to by its name there."""
+    names = {id(item): n for named in items.values() for n, item in named.items()}
+    return {SECTIONS[s].key: {n: SECTIONS[s].dump(item, names) for n, item in named.items()}
+            for s, named in items.items()}
+
+
 class Section(NamedTuple):
     name: str  # as ``Workspace.require`` names it
     key: str  # the top-level JSON key
     field: str  # the ``Workspace`` field holding its items
     build: Callable  # (ws, name, data) -> the item, validated
     shape: Any  # an item's shape, or a function of the item choosing it
+    dump: Optional[Callable] = None  # (item, {id(item): name}) -> the data ``build`` takes
 
     def make(self, ws: Workspace, name: str, data):
         """The item ``name``: its shape walked, then built."""
@@ -472,20 +488,28 @@ _CONSTRAINT = {"sourcePredicate": str, "targetPredicate": str, "h": _NAMES}
 
 # Every section, in load order: an item refers only to earlier sections.
 SECTIONS = {s.name: s for s in (
-    Section("typeDomain", "typeDomains", "type_domains", _type_domain, Map([str])),
+    Section("typeDomain", "typeDomains", "type_domains", _type_domain, Map([str]),
+            lambda td, names: td.extents),
     Section("schema", "schemas", "schemas", _schema, {
-        "sorts": [str], "predicates": Map(_SIGNATURE), "signatures?": Map(_SIGNATURE)}),
+        "sorts": [str], "predicates": Map(_SIGNATURE), "signatures?": Map(_SIGNATURE)},
+        lambda s, names: {"sorts": s.sorts, "predicates": s.predicates,
+                          "signatures": s.signatures}),
     Section("sigMorphism", "sigMorphisms", "sig_morphisms", _sig_morphism,
             {"source": _SIGNATURE, "target": _SIGNATURE, "map": _NAMES}),
     Section("typeDomainMorphism", "typeDomainMorphisms", "type_domain_morphisms",
             _td_morphism, {"source": str, "target": str, "sortMap": _NAMES, "valueMap": _NAMES}),
     Section("structure", "structures", "structures", _checked_structure,
-            lambda d: _STRICT if d.get("kind") == "strict" else _LAX),
+            lambda d: _STRICT if d.get("kind") == "strict" else _LAX,
+            lambda m, names: {"schema": names[id(m.schema)], "kind": "lax",  # no command writes strict
+                              "typeDomain": names[id(m.type_domain)], "tables": m.table_of}),
     Section("spec", "specs", "specs", _spec, {
         "schema": str, "constraints?": Map(_CONSTRAINT),
-        "composites?": [{"path": [str], "equals": str}]}),
+        "composites?": [{"path": [str], "equals": str}]}, _dump_spec),
     Section("database", "databases", "databases", _database, {
-        **_OVER, "tables": dict, "constraintKeyMaps?": Map(_NAMES)}),
+        **_OVER, "tables": dict, "constraintKeyMaps?": Map(_NAMES)},
+        lambda db, names: {"schema": names[id(db.schema)], "tables": db.table_of,
+                           "typeDomain": names[id(db.type_domain)],
+                           "constraintKeyMaps": db.constraint_morphism}),
     Section("specMorphism", "specMorphisms", "spec_morphisms", _spec_morphism,
             _SPEC_MORPHISM),
     Section("structureMorphism", "structureMorphisms", "structure_morphisms",

@@ -1380,25 +1380,33 @@ class TestWriter:
         m_emp = ws.structures["M"].lax.table_of["Emp"]
         sent = snd_to_db(SoundLogic(ws.structures["M"].lax, ws.specs["FK"]))
         image = db_image(db)
-        # (section, item name, written tables, written key maps)
+        dextro = table_flow_type_domain("dextro", m, n_pair, a2, a1)
+        levo = table_flow_type_domain("levo", m, m_emp, a2, a1)
+        company, fk = ws.schemas["Company"], ws.specs["FK"]
+        # (section, item name, written tables, written key maps, and the
+        # type domain, schema and specs that the fragment holds)
         expected = {
             "convert snd-to-db M:FK": ("databases", "M__FK", sent.table_of,
-                                       sent.constraint_morphism),
+                                       sent.constraint_morphism, a1, company, [fk]),
             "convert db-to-snd DB": ("structures", "DB_structure",
-                                     db_to_snd(db).structure.table_of, {}),
+                                     db_to_snd(db).structure.table_of, {},
+                                     a1, company, [fk]),
             "convert db-image DB": ("databases", "DB_image", image.table_of,
-                                    image.constraint_morphism),
-            "migrate N.PairC collapse dextro": ("structures", "migrated", {
-                "migrated": table_flow_type_domain("dextro", m, n_pair,
-                                                   a2, a1)}, {}),
-            "migrate M.Emp collapse levo": ("structures", "migrated", {
-                "migrated": table_flow_type_domain("levo", m, m_emp,
-                                                   a2, a1)}, {}),
+                                    image.constraint_morphism, a1, company, [fk]),
+            "migrate N.PairC collapse dextro": (
+                "structures", "migrated", {"migrated": dextro}, {}, a1,
+                Schema(a1.sorts, {"migrated": dextro.signature}, {}), []),
+            "migrate M.Emp collapse levo": (
+                "structures", "migrated", {"migrated": levo}, {}, a2,
+                Schema(a2.sorts, {"migrated": levo.signature}, {}), []),
         }
+        schema_keys = set()
         for argv in FIXTURE_WRITES:
-            section, name, tables, key_maps = expected[" ".join(argv)]
+            section, name, tables, key_maps, td, schema, specs = \
+                expected[" ".join(argv)]
             path = tmp_path / "frag.json"
-            path.write_text(written(argv, tmp_path), encoding="utf-8")
+            text = written(argv, tmp_path)
+            path.write_text(text, encoding="utf-8")
             back = load_workspace(str(path))
             assert not back.diagnostics
             item = getattr(back, section)[name]
@@ -1413,6 +1421,14 @@ class TestWriter:
                     p: {key_name(k): key_name(v)
                         for k, v in tm.key_map.items()}
                     for p, tm in key_maps.items()}
+            # A type domain is a JSON object, written with its keys sorted:
+            # its sorts load back in name order.
+            assert list(back.type_domains.values()) == [
+                TypeDomain(tuple(sorted(td.sorts)), td.extents)]
+            assert list(back.schemas.values()) == [schema]
+            assert list(back.specs.values()) == specs
+            schema_keys.add(tuple(sorted(json.loads(text)["schemas"]["schema"])))
+        assert schema_keys == {("predicates", "signatures", "sorts")}
 
 
 class TestParser:

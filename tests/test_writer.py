@@ -10,11 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fole import (Signature, SignatureMorphism, Table, TableMorphism, cli,
-                  key_equivalent)
+from fole import (Schema, Signature, SignatureMorphism, Table, TableMorphism,
+                  cli, key_equivalent)
 from fole.errors import KeyCollision
-from fole.workspace import (_named, dump_json, key_name, key_names,
-                            load_workspace_data, table_to_json)
+from fole.workspace import (SECTIONS, _named, dump_json, fragment, key_name,
+                            key_names, load_workspace_data, table_to_json)
+from generators import (rand_database, rand_lax_structure, rand_schema,
+                        rand_signature, rand_spec, rand_type_domain,
+                        unit_composite_pair)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE = os.path.join(ROOT, "tests", "fixtures", "workspace.json")
@@ -419,3 +422,53 @@ def test_colliding_names_in_a_shared_key_set_raise(first):
         dump_json(payload)
     assert "('k', ('a,b', 'c'))" in str(info.value)
     assert "('k', ('a', 'b,c'))" in str(info.value)
+
+
+# ``fragment`` writes each item by its section's ``dump``, the inverse of the
+# section's ``build``; an item that another refers to is written as its name.
+
+def test_the_written_sections_and_no_other_have_a_dump():
+    assert {s.name for s in SECTIONS.values() if s.dump} == {
+        "typeDomain", "schema", "spec", "structure", "database"}
+
+
+def named_tables(tables) -> dict:
+    return {r: (t.signature, {key_name(k): v for k, v in t.rows.items()})
+            for r, t in tables.items()}
+
+
+def test_fragments_load_back_to_their_items():
+    """200 seeded workspaces: a type domain, some of whose extents are empty;
+    a schema with named signatures; a spec, a quarter of them declaring a
+    composite; a lax structure and a database, some of whose tables are
+    empty; and the schemas and spec that the spec and the database hold."""
+    _, composite = unit_composite_pair()
+    empty_extents = empty_tables = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        td = rand_type_domain(rng)
+        drawn = rand_schema(rng, td)
+        schema = Schema(drawn.sorts, drawn.predicates, {
+            f"n{i}": rand_signature(rng, td) for i in range(rng.randint(1, 2))})
+        spec = composite if seed % 4 == 0 else rand_spec(rng, td)
+        m = rand_lax_structure(rng, schema, td)
+        db = rand_database(rng, td)
+        items = {"typeDomain": {"A": td},
+                 "schema": {"S": schema, "specS": spec.schema, "dbS": db.schema.schema},
+                 "spec": {"T": spec, "dbT": db.schema},
+                 "structure": {"M": m}, "database": {"DB": db}}
+        back = load_workspace_data(json.loads(dump_json(fragment(items))))
+        assert not back.diagnostics, seed
+        assert back.type_domains["A"] == td
+        assert {n: back.schemas[n] for n in items["schema"]} == items["schema"]
+        assert {n: back.specs[n] for n in items["spec"]} == items["spec"]
+        assert named_tables(back.structures["M"].lax.table_of) == named_tables(m.table_of)
+        loaded = back.databases["DB"]
+        assert named_tables(loaded.table_of) == named_tables(db.table_of)
+        assert {p: tm.key_map for p, tm in loaded.constraint_morphism.items()} == {
+            p: {key_name(k): key_name(v) for k, v in tm.key_map.items()}
+            for p, tm in db.constraint_morphism.items()}
+        empty_extents += not all(td.extents.values())
+        empty_tables += not all(t.rows for t in [*m.table_of.values(),
+                                                 *db.table_of.values()])
+    assert empty_extents and empty_tables
