@@ -327,7 +327,7 @@ def _shape(failed: dict, name: str, *args):
 
 
 def _type_domain(ws: Workspace, name: str, data) -> TypeDomain:
-    return TypeDomain(tuple(data), data)
+    return TypeDomain(tuple(sorted(data)), data)
 
 
 def _schema(ws: Workspace, name: str, data) -> Schema:
@@ -501,7 +501,8 @@ SECTIONS = {s.name: s for s in (
     Section("structure", "structures", "structures", _checked_structure,
             lambda d: _STRICT if d.get("kind") == "strict" else _LAX,
             lambda m, names: {"schema": names[id(m.schema)], "kind": "lax",  # no command writes strict
-                              "typeDomain": names[id(m.type_domain)], "tables": m.table_of}),
+                              "typeDomain": names[id(m.type_domain)],
+                              "tables": {r: m.table_of[r] for r in m.schema.predicates}}),
     Section("spec", "specs", "specs", _spec, {
         "schema": str, "constraints?": Map(_CONSTRAINT),
         "composites?": [{"path": [str], "equals": str}]}, _dump_spec),

@@ -18,10 +18,12 @@ from fole import (
     DatabaseMorphism,
     GeneratingConstraint,
     LaxStructure,
+    LaxStructureMorphism,
     Schema,
     Signature,
     SignatureMorphism,
     SoundLogic,
+    SoundLogicMorphism,
     SpecMorphism,
     Table,
     TableMorphism,
@@ -339,6 +341,23 @@ class TestMorphismConversions:
                 lm2.structure_morphism.predicate_map
             assert lm3.structure_morphism.key_bridge == \
                 lm2.structure_morphism.key_bridge
+
+    def test_passages_send_identities_to_identities(self):
+        """Both endpoint logics of 200 seeded logic morphisms: each passage
+        sends the identity morphism on one side to the identity on the other."""
+        for seed in range(200):
+            for logic in rand_logic_morphism_setup(random.Random(seed))[1:]:
+                db, td = snd_to_db(logic), logic.structure.type_domain
+                ident = SoundLogicMorphism(
+                    SpecMorphism.identity(logic.spec, td.sorts),
+                    LaxStructureMorphism.identity(logic.structure))
+                assert snd_mor_to_db_mor(ident, logic, logic) == \
+                    identity_db_morphism(db), seed
+                back = db_mor_to_snd_mor(identity_db_morphism(db), db, db)
+                assert back.spec_morphism == \
+                    SpecMorphism.identity(db.schema, td.sorts), seed
+                assert back.structure_morphism == \
+                    LaxStructureMorphism.identity(db.structure), seed
 
 
 def rebuilt_and_revalidated(lm, l2, l1) -> DatabaseMorphism:

@@ -35,7 +35,6 @@ from fole import (
     table_substitution,
     tuple_along,
 )
-from fole.core import is_well_sorted
 from fole.errors import NaturalityViolation, SignatureMismatch, UnknownSort
 
 from generators import (
@@ -103,8 +102,9 @@ class TestTableValidate:
 
     def test_sort_outside_the_domain(self):
         sig = Signature.of([("0", "S"), ("1", "Z")])
-        Table(sig, {}).validate(AB)
-        with pytest.raises(SignatureMismatch, match="row 'k1'"):
+        with pytest.raises(UnknownSort):
+            Table(sig, {}).validate(AB)
+        with pytest.raises(UnknownSort):
             Table(sig, {"k1": ("c", "z"), "k2": ("a", "z")}).validate(AB)
         with pytest.raises(UnknownSort):
             Table(sig, {"k1": ("a", "z")}).validate(AB)
@@ -113,7 +113,7 @@ class TestTableValidate:
 def validate_by_rows(table: Table, td: TypeDomain) -> None:
     """The oracle: ``Table.validate`` as a row loop alone."""
     sig = table.signature
-    members = [frozenset(td.extents.get(s, ())) for s in sig.sorts]
+    members = [frozenset(td.extent(s)) for s in sig.sorts]
     for k, t in table.rows.items():
         try:
             ok = len(t) == len(members) and all(
@@ -121,7 +121,6 @@ def validate_by_rows(table: Table, td: TypeDomain) -> None:
         except TypeError:
             ok = False
         if not ok:
-            is_well_sorted(t, sig, td)
             raise SignatureMismatch(
                 f"row {k!r} = {t!r} is not well-sorted over {sig}")
 

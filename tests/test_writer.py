@@ -472,3 +472,28 @@ def test_fragments_load_back_to_their_items():
         empty_tables += not all(t.rows for t in [*m.table_of.values(),
                                                  *db.table_of.values()])
     assert empty_extents and empty_tables
+
+
+def test_fragments_of_loaded_structures_load_back():
+    """A structure the loader built reads its tables on demand: each fixture
+    structure, by both lookups, and a strict one, write and load back."""
+    raw = json.load(open(FIXTURE))
+    raw["structures"]["S"] = {
+        "schema": "Company", "typeDomain": "A", "kind": "strict",
+        "keys": ["k1", "k2", "d1"],
+        "classifies": [["k1", "Emp"], ["k2", "Emp"], ["d1", "Dept"],
+                       ["k1", "Salaried"]],
+        "tuples": {"k1": ["ann", "hr"], "k2": ["bob", "it"], "d1": ["hr"]}}
+    for name, data in raw["structures"].items():
+        for lookup in (lambda ws: ws.structure(name),
+                       lambda ws: ws.require("structure", name).lax):
+            m = lookup(load_workspace_data(raw))
+            items = {"typeDomain": {data["typeDomain"]: m.type_domain},
+                     "schema": {data["schema"]: m.schema}, "structure": {name: m}}
+            back = load_workspace_data(json.loads(dump_json(fragment(items))))
+            assert not back.diagnostics, name
+            assert list(back.type_domains.values()) == [m.type_domain]
+            assert list(back.schemas.values()) == [m.schema]
+            tables = {r: m.table_of[r] for r in m.schema.predicates}
+            assert named_tables(back.structures[name].lax.table_of) == \
+                named_tables(tables), name
