@@ -147,9 +147,6 @@ class TypeDomain(Record):
                 seen.setdefault(v)
         return tuple(seen)
 
-    def intent(self, value: str) -> frozenset[str]:
-        return frozenset(x for x in self.sorts if value in self.extents[x])
-
 
 class ClassificationReport(Record, frozen=True):
     separated: bool
@@ -165,35 +162,19 @@ class ClassificationReport(Record, frozen=True):
 
 
 def classify(td: TypeDomain) -> ClassificationReport:
-    """Compute the classification flags by exhaustive extent comparison."""
-    values = td.values()
-    intents = {y: td.intent(y) for y in values}
-
-    separated = all(
-        intents[y] != intents[z]
-        for y, z in itertools.combinations(values, 2)
-    )
-    ext = {x: frozenset(td.extents[x]) for x in td.sorts}
-    extensional = all(
-        ext[x] != ext[z] for x, z in itertools.combinations(td.sorts, 2)
-    )
-    disjoint = all(
-        not (ext[x] & ext[z]) for x, z in itertools.combinations(td.sorts, 2)
-    )
-    unclassified = [y for y in values if not intents[y]]
-    # The value universe is the union of extents, so unclassified values can
-    # only arise if callers hand-construct a domain with a detached value;
-    # with the stock constructor the list is always empty.
-    partitioned = disjoint and not unclassified
-    pseudo = disjoint and len(unclassified) == 1
+    """The classification flags, by hashing intents and extents.  The values
+    are the union of the extents, so none is unclassified: a disjoint domain
+    is partitioned, and none is pseudo-partitioned."""
+    intents: dict[str, tuple[str, ...]] = {}  # value -> the sorts listing it
+    for x in td.sorts:
+        for v in td.extents[x]:
+            intents[v] = intents.get(v, ()) + (x,)
+    extents = [frozenset(td.extents[x]) for x in td.sorts]
+    disjoint = sum(map(len, extents)) == len(intents)
     return ClassificationReport(
-        separated=separated,
-        extensional=extensional,
-        disjoint=disjoint,
-        partitioned=partitioned,
-        pseudo_partitioned=pseudo,
-        special_instance=unclassified[0] if pseudo else None,
-    )
+        separated=len(set(intents.values())) == len(intents),
+        extensional=len(set(extents)) == len(extents),
+        disjoint=disjoint, partitioned=disjoint, pseudo_partitioned=False)
 
 
 class SignatureMorphism(Record, frozen=True):
@@ -268,12 +249,6 @@ def check_signature_morphism(h: SignatureMorphism) -> None:
     for a in h.source.attrs:
         if a not in dict(h.mapping):
             raise SortMismatch(a, "<mapped>", "<missing>")
-
-
-def is_well_sorted(values: Row, sig: Signature, td: TypeDomain) -> bool:
-    if len(values) != len(sig):
-        return False
-    return all(v in td.extent(s) for v, s in zip(values, sig.sorts))
 
 
 def enumerate_tuples(sig: Signature, td: TypeDomain) -> list[Row]:

@@ -22,7 +22,6 @@ from .core import (
     check_type_domain_morphism,
     entry,
     enumerate_tuples,
-    is_well_sorted,
     pushed_signature,
     tuple_along,
 )
@@ -32,6 +31,7 @@ from .errors import (
     FoleError,
     KeyBridgeViolation,
     SignatureMismatch,
+    UnresolvedReference,
 )
 from .formula import (
     Atom,
@@ -76,17 +76,33 @@ class StrictStructure(Record):
     classifies: frozenset[tuple[Key, str]]  # (key, predicate)
     tuple_of_key: dict[Key, Row]
 
+    @cached_property
+    def extents(self) -> dict[str, list[Key]]:
+        """Each predicate's classified keys in ``keys`` order, grouped by one
+        pass over ``classifies``.  A pair whose key is outside ``keys`` or whose
+        predicate is outside the schema fails; the least by ``repr`` is named."""
+        n = len(self.keys)  # a key listed twice ranks where it is first listed
+        rank = dict(zip(reversed(self.keys), range(n - 1, -1, -1)))
+        ranks: dict[str, list[int]] = {r: [] for r in self.schema.predicates}
+        try:
+            for k, r in self.classifies:
+                ranks[r].append(rank[k])
+        except KeyError:
+            k, r = min(((k, r) for k, r in self.classifies
+                        if k not in rank or r not in ranks), key=repr)
+            self.schema.signature_of(r)  # an UnknownPredicate, if r is the fault
+            raise UnresolvedReference("key", k) from None
+        return {r: [self.keys[i] for i in sorted(rs)] for r, rs in ranks.items()}
+
     def extent(self, predicate: str) -> list[Key]:
-        return [k for k in self.keys if (k, predicate) in self.classifies]
+        return self.extents.get(predicate, [])
 
 
 def validate_strict(m: StrictStructure) -> None:
-    """Check the defining condition: classified keys carry well-sorted tuples."""
-    for k, r in sorted(m.classifies, key=repr):
-        sig = m.schema.signature_of(r)
-        row = m.tuple_of_key.get(k)
-        if row is None or not is_well_sorted(row, sig, m.type_domain):
-            raise DefiningConditionViolation(k, r)
+    """The defining condition's full check: each table of ``to_lax(m)`` read."""
+    lax = to_lax(m)
+    for r in m.schema.predicates:
+        lax.table_of[r]
 
 
 def check_tables_for(schema: Schema, tables: Collection[str]) -> None:
@@ -177,11 +193,15 @@ class LaxStructure(Record):
 
 def to_lax(m: StrictStructure) -> LaxStructure:
     """Forget the global key set; keep one table per predicate, each checked
-    by ``check_table`` when first read."""
-    validate_strict(m)
-    return LaxStructure(m.schema, m.type_domain, Lazy(
-        m.schema.predicates, lambda r, sig: check_table(r, Table(sig, {
-            k: m.tuple_of_key[k] for k in m.extent(r)}), m.schema, m.type_domain)))
+    by ``check_table`` when first read.  There a bad row, or a classified key
+    with no tuple, breaks the defining condition at its key."""
+    def table(r: str, keys: list[Key]) -> Table:
+        try:
+            return check_table(r, Table(m.schema.signature_of(r), dict(zip(
+                keys, map(m.tuple_of_key.get, keys)))), m.schema, m.type_domain)
+        except SignatureMismatch as exc:  # from the row loop, naming the key
+            raise DefiningConditionViolation(exc.key, r) from None
+    return LaxStructure(m.schema, m.type_domain, Lazy(m.extents, table))
 
 
 # ----------------------------------------------------------- interpretation
@@ -408,22 +428,22 @@ def strict_morphism_to_lax(sm: StrictStructureMorphism,
                            m2: StrictStructure,
                            m1: StrictStructure) -> LaxStructureMorphism:
     """Restrict the global key map per predicate, after checking the entity
-    infomorphism biconditional."""
+    infomorphism biconditional on the grouped extents; a fault is named by a
+    scan of ``m1.keys``, the first where the key map fails or the two differ."""
+    preimage: dict[Key, list[Key]] = {}  # a key of m2 -> the keys of m1 sent to it
+    for k1 in m1.keys:
+        if k1 in sm.key_map:
+            preimage.setdefault(sm.key_map[k1], []).append(k1)
+    total = sm.key_map.keys() >= set(m1.keys)
+    key_bridge = {}
     for r2 in m2.schema.predicates:
         r1 = entry(sm.predicate_map, r2, "predicate map")
-        for k1 in m1.keys:
-            left = (entry(sm.key_map, k1, "key map"), r2) in m2.classifies
-            right = (k1, r1) in m1.classifies
-            if left != right:
-                raise EntityInfomorphismViolation(r2, k1)
-    key_bridge = {
-        r2: {k1: sm.key_map[k1] for k1 in m1.extent(sm.predicate_map[r2])}
-        for r2 in m2.schema.predicates
-    }
-    lm = LaxStructureMorphism(
-        predicate_map=dict(sm.predicate_map),
-        schema_bridge=dict(sm.schema_bridge),
-        td_morphism=sm.td_morphism,
-        key_bridge=key_bridge,
-    )
-    return lm
+        ext1, ext2 = set(m1.extent(r1)), set(m2.extent(r2))
+        if not total or ext1 != {k1 for k2 in ext2 for k1 in preimage.get(k2, ())}:
+            k1 = next(k1 for k1 in m1.keys if k1 not in sm.key_map
+                      or (sm.key_map[k1] in ext2) != (k1 in ext1))
+            entry(sm.key_map, k1, "key map")
+            raise EntityInfomorphismViolation(r2, k1)
+        key_bridge[r2] = {k1: sm.key_map[k1] for k1 in m1.extent(r1)}
+    return LaxStructureMorphism(dict(sm.predicate_map), dict(sm.schema_bridge),
+                                sm.td_morphism, key_bridge)

@@ -59,9 +59,9 @@ class Table(Record):
             except TypeError:  # an unhashable value lies in no extent
                 ok = False
             if not ok:
-                raise SignatureMismatch(
-                    f"row {k!r} = {t!r} is not well-sorted over {self.signature}"
-                )
+                exc = SignatureMismatch(f"row {k!r} = {t!r} is not well-sorted over {sig}")
+                exc.key = k  # for a caller that names the row in its own terms
+                raise exc
 
 
 class Relation(Record, frozen=True):

@@ -99,6 +99,8 @@ def _named(keys) -> tuple:
 
 
 _ENC = json.encoder.encode_basestring_ascii
+# a string or an empty container as json.dumps writes it; other leaves by json.dumps
+_LEAF = {str: _ENC, dict: lambda _: "{}", list: lambda _: "[]", tuple: lambda _: "[]"}
 
 
 def _object(mapping: dict, texts, pad: str, seen) -> str:
@@ -168,8 +170,8 @@ def _render(obj, pad: str, out: list, seen) -> None:
         return out.append(_object(obj.key_map, lambda ts: map(_ENC, key_names(ts)), pad, seen))
     if isinstance(obj, Signature):
         obj = obj.pairs()
-    if not obj or not isinstance(obj, (dict, list, tuple)):  # json.dumps: {} and []
-        return out.append(_ENC(obj) if isinstance(obj, str) else json.dumps(obj))
+    if not obj or not isinstance(obj, (dict, list, tuple)):  # a scalar, {} or []
+        return out.append(_LEAF.get(obj.__class__, json.dumps)(obj))
     keyed, inner = isinstance(obj, dict), pad + "  "
     if not keyed and all(map(isinstance, obj, repeat(str))):  # one piece, not one per value
         return out.append(f"[{inner}{(',' + inner).join(map(_ENC, obj))}{pad}]")

@@ -14,6 +14,7 @@ from fole import (
     AbstractSpec,
     Atom,
     Bottom,
+    ClassificationReport,
     CompositeDeclaration,
     Constraint,
     Database,
@@ -46,6 +47,9 @@ from fole import (
     pushed_signature,
     tuple_along,
 )
+from fole.core import entry
+from fole.errors import DefiningConditionViolation, EntityInfomorphismViolation
+from fole.structure import check_table
 
 _FRESH = itertools.count()
 
@@ -60,6 +64,34 @@ def rand_type_domain(rng: random.Random, max_sorts=3, max_extent=3,
         for x in sorts
     }
     return TypeDomain(sorts, extents)
+
+
+def rand_shared_type_domain(rng: random.Random, max_sorts=4,
+                            max_values=5) -> TypeDomain:
+    """A type domain whose extents draw from one small value pool, so values
+    are shared between sorts, extents may be empty, and two may be equal."""
+    pool = [f"v{j}" for j in range(rng.randint(1, max_values))]
+    sorts = tuple(f"X{i}" for i in range(rng.randint(1, max_sorts)))
+    return TypeDomain(sorts, {x: tuple(rng.sample(pool, rng.randint(0, len(pool))))
+                              for x in sorts})
+
+
+def classify_pairwise(td: TypeDomain) -> ClassificationReport:
+    """Oracle of ``classify``: every flag by exhaustive pairwise comparison
+    of intents and extents."""
+    values = td.values()
+    intents = {y: frozenset(x for x in td.sorts if y in td.extents[x]) for y in values}
+    separated = all(intents[y] != intents[z]
+                    for y, z in itertools.combinations(values, 2))
+    ext = {x: frozenset(td.extents[x]) for x in td.sorts}
+    extensional = all(ext[x] != ext[z] for x, z in itertools.combinations(td.sorts, 2))
+    disjoint = all(not (ext[x] & ext[z]) for x, z in itertools.combinations(td.sorts, 2))
+    unclassified = [y for y in values if not intents[y]]
+    pseudo = disjoint and len(unclassified) == 1
+    return ClassificationReport(
+        separated=separated, extensional=extensional, disjoint=disjoint,
+        partitioned=disjoint and not unclassified, pseudo_partitioned=pseudo,
+        special_instance=unclassified[0] if pseudo else None)
 
 
 def rand_signature(rng: random.Random, td: TypeDomain, max_len=3,
@@ -145,6 +177,50 @@ def rand_strict_structure(rng: random.Random, schema: Schema,
                 classifies.add((k, r2))
     return StrictStructure(schema, td, tuple(keys), frozenset(classifies),
                            tuple_of_key)
+
+
+def validate_strict_by_rows(m: StrictStructure) -> None:
+    """Row-loop oracle of the strict defining condition: one classification
+    at a time, the least by ``repr`` first, each classified key carrying a
+    tuple of the predicate's arity whose values lie in their sorts' extents."""
+    for k, r in sorted(m.classifies, key=repr):
+        sig = m.schema.signature_of(r)
+        row = m.tuple_of_key.get(k)
+        if row is None or len(row) != len(sig) or not all(
+                v in m.type_domain.extent(s) for v, s in zip(row, sig.sorts)):
+            raise DefiningConditionViolation(k, r)
+
+
+def strict_tables_by_scan(m: StrictStructure) -> dict[str, Table]:
+    """Extent-scan oracle of ``to_lax``'s tables: each predicate's rows are the
+    keys it classifies, found by a scan of every key, in ``keys`` order."""
+    return {r: Table(sig, {k: m.tuple_of_key[k] for k in m.keys
+                           if (k, r) in m.classifies})
+            for r, sig in m.schema.predicates.items()}
+
+
+def check_strict_by_rows(m: StrictStructure) -> None:
+    """Full-check oracle of a strict structure: the row loop, then each
+    scanned table checked by ``check_table`` in schema order."""
+    validate_strict_by_rows(m)
+    for r, table in strict_tables_by_scan(m).items():
+        check_table(r, table, m.schema, m.type_domain)
+
+
+def strict_key_bridges_by_scan(sm: StrictStructureMorphism, m2: StrictStructure,
+                               m1: StrictStructure) -> dict[str, dict]:
+    """Scan oracle of ``strict_morphism_to_lax``'s key bridges: the entity
+    infomorphism biconditional at every predicate and every key of ``m1``,
+    in order, then each bridge restricted to the keys ``r1`` classifies."""
+    for r2 in m2.schema.predicates:
+        r1 = entry(sm.predicate_map, r2, "predicate map")
+        for k1 in m1.keys:
+            left = (entry(sm.key_map, k1, "key map"), r2) in m2.classifies
+            if left != ((k1, r1) in m1.classifies):
+                raise EntityInfomorphismViolation(r2, k1)
+    return {r2: {k1: sm.key_map[k1] for k1 in m1.keys
+                 if (k1, sm.predicate_map[r2]) in m1.classifies}
+            for r2 in m2.schema.predicates}
 
 
 # ------------------------------------------------------------------ formulas

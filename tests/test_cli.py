@@ -217,6 +217,46 @@ class TestStrictItems:
             ("structures", "X", "DefiningConditionViolation: key 'd2' "
                                 "classified by 'Dept' has an ill-sorted tuple")]
 
+    def write(self, tmp_path, structure) -> str:
+        raw = json.load(open(FIXTURE))
+        raw["structures"]["X"] = structure
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    def test_classified_key_outside_the_key_set(self, tmp_path):
+        """A classified key must be one of ``keys``; one outside them fails
+        the structure instead of dropping out of every table."""
+        bad = strict_structure(zz=["ann", "hr"])
+        bad["classifies"].append(["zz", "Emp"])
+        assert [(d.section, d.name, d.error) for d in self.load(bad).diagnostics] == [
+            ("structures", "X", "UnresolvedReference: unresolved key reference 'zz'")]
+        path = self.write(tmp_path, bad)
+        assert run(["check", "-w", path, "structure", "X"]) == \
+            (1, "ITEM X: FAIL UnresolvedReference unresolved key reference 'zz'\n")
+        assert run(["eval", "-w", path, "-s", "X", "Emp"]) == \
+            (2, "ITEM structures/X: FAIL UnresolvedReference: "
+                "unresolved key reference 'zz'\n")
+
+    def test_eval_reads_only_the_tables_it_names(self, tmp_path):
+        """As for a lax structure, a bad row fails an eval that reads its
+        table and the full check, not an eval that reads other tables."""
+        path = self.write(tmp_path, strict_structure(d2=["ann"]))
+        assert run(["eval", "-w", path, "-s", "X", "Emp"]) == \
+            (0, "name:S\tdept:D\nann\thr\nbob\thr\n")
+        fault = "DefiningConditionViolation key 'd2' classified by 'Dept' has an ill-sorted tuple"
+        assert run(["check", "-w", path, "structure", "X"]) == (1, f"ITEM X: FAIL {fault}\n")
+        code, text = run(["eval", "-w", path, "-s", "X", "Dept"])
+        assert code == 2 and text.startswith("ITEM structures/X: FAIL DefiningConditionViolation: ")
+
+    def test_first_fault_in_schema_order(self):
+        """With a bad row in each of Emp and Dept, the check names the first
+        failing predicate in schema order (Emp), not the least pair by repr."""
+        ws = self.load(strict_structure(d2=["ann"], k2=["bob", "zzz"]))
+        assert [(d.section, d.name, d.error) for d in ws.diagnostics] == [
+            ("structures", "X", "DefiningConditionViolation: key 'k2' "
+                                "classified by 'Emp' has an ill-sorted tuple")]
+
     def test_strict_morphism_from_a_lax_structure(self):
         ws = self.load(morphism=strict_morphism("M"))
         assert [(d.section, d.name, d.error) for d in ws.diagnostics] == [

@@ -31,8 +31,8 @@ from fole.core import Record
 from fole.errors import (InfomorphismViolation, SignatureMismatch, SortMismatch,
                          UnknownSort)
 
-from generators import rand_infomorphism, rand_sig_morphism, rand_signature, \
-    rand_type_domain
+from generators import classify_pairwise, rand_infomorphism, rand_shared_type_domain, \
+    rand_sig_morphism, rand_signature, rand_type_domain
 
 
 S2 = Signature.of([("0", "S"), ("1", "S")])
@@ -64,6 +64,16 @@ class TestClassify:
         rep = classify(td)
         assert rep.separated  # intents {S}, {S,T} differ
         assert not rep.disjoint
+
+    def test_hashing_agrees_with_pairwise_comparison(self):
+        rng, flags = random.Random(29), set()
+        for _ in range(400):
+            td = rand_shared_type_domain(rng) if rng.random() < 0.75 else \
+                rand_type_domain(rng)
+            rep = classify(td)
+            assert rep == classify_pairwise(td)
+            flags.add((rep.separated, rep.extensional, rep.disjoint))
+        assert len(flags) == 8  # every combination of the three flags is met
 
 
 class Point(Record, frozen=True):

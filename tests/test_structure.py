@@ -18,6 +18,7 @@ from fole import (
     Signature,
     SignatureMorphism,
     StrictStructure,
+    StrictStructureMorphism,
     Subst,
     Table,
     Top,
@@ -48,19 +49,24 @@ from fole.errors import (
     EntityInfomorphismViolation,
     FiberMismatch,
     FlowMismatch,
+    FoleError,
     KeyBridgeViolation,
     SignatureMismatch,
     UnknownSort,
 )
 from fole.structure import Lazy
 from generators import (
+    check_strict_by_rows,
     rand_formula,
     rand_lax_morphism_setup,
     rand_lax_structure,
     rand_schema,
     rand_sig_morphism,
     rand_strict_morphism_setup,
+    rand_strict_structure,
     rand_type_domain,
+    strict_key_bridges_by_scan,
+    strict_tables_by_scan,
 )
 
 SIG1 = Signature.of([("dept", "D")])
@@ -450,3 +456,164 @@ class TestStrictMorphism:
             m2.classifies - {(sm.key_map[k1], r2)}, m2.tuple_of_key)
         with pytest.raises(EntityInfomorphismViolation):
             strict_morphism_to_lax(sm, broken, m1)
+
+
+def outcome(check, *args):
+    """``(error class, message)`` of ``check(*args)``, or ``None`` if it passes."""
+    try:
+        check(*args)
+    except FoleError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# Each mutation puts one fault into a strict structure, or gives None where
+# the structure has no place for it.  A fault in a row is put on a key that
+# exactly one predicate classifies, so that it fails one classification.
+def _once_classified(m: StrictStructure, min_len=0) -> list:
+    counts = {}
+    for k, r in m.classifies:
+        counts[k] = counts.get(k, 0) + 1
+    return [k for k in m.keys if counts.get(k) == 1 and k in m.tuple_of_key
+            and len(m.tuple_of_key[k]) >= min_len]
+
+
+def _with_row(rng, m, make_row, min_len=1):
+    keys = _once_classified(m, min_len)
+    if not keys:
+        return None
+    k = rng.choice(keys)
+    tuples = dict(m.tuple_of_key)
+    if make_row is None:
+        del tuples[k]
+    else:
+        tuples[k] = make_row(list(tuples[k]), rng.randrange(len(tuples[k]) or 1))
+    return StrictStructure(m.schema, m.type_domain, m.keys, m.classifies, tuples)
+
+
+def _put(row, i, value):
+    row[i] = value
+    return tuple(row)
+
+
+def _classified_outside(rng, m):
+    pools = {r: p for r, sig in m.schema.predicates.items()
+             if set(sig.sorts) <= set(m.type_domain.sorts)
+             and (p := enumerate_tuples(sig, m.type_domain))}
+    if not pools:
+        return None
+    r = rng.choice(sorted(pools))
+    k = f"zz{len(m.tuple_of_key)}"
+    return StrictStructure(m.schema, m.type_domain, m.keys, m.classifies | {(k, r)},
+                           dict(m.tuple_of_key, **{k: rng.choice(pools[r])}))
+
+
+def _sort_outside(rng, m):
+    if "Zed" in m.schema.predicates:
+        return None
+    zed = Signature.of([("z", "Zout")])
+    schema = Schema(m.schema.sorts + ("Zout",), dict(m.schema.predicates, Zed=zed))
+    if rng.random() < 0.5:  # an empty table over the sort
+        return StrictStructure(schema, m.type_domain, m.keys, m.classifies, m.tuple_of_key)
+    return StrictStructure(schema, m.type_domain, m.keys + ("kz",),
+                           m.classifies | {("kz", "Zed")}, dict(m.tuple_of_key, kz=("v",)))
+
+
+MUTATIONS = {
+    "ill-sorted value": lambda rng, m: _with_row(
+        rng, m, lambda row, i: _put(row, i, "ill-sorted!")),
+    "wrong arity": lambda rng, m: _with_row(
+        rng, m, lambda row, i: tuple(row[:-1] if row and rng.random() < 0.5
+                                     else row + ["extra"]), min_len=0),
+    "missing tuple": lambda rng, m: _with_row(rng, m, None, min_len=0),
+    "unknown predicate": lambda rng, m: m.keys and StrictStructure(
+        m.schema, m.type_domain, m.keys, m.classifies | {(rng.choice(m.keys), "Nope")},
+        m.tuple_of_key) or None,
+    "key outside keys": _classified_outside,
+    "unhashable value": lambda rng, m: _with_row(
+        rng, m, lambda row, i: _put(row, i, ["unhashable"])),
+    "sort outside the domain": _sort_outside,
+}
+
+
+def _strict_cases(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        td = rand_type_domain(rng)
+        yield rng, rand_strict_structure(rng, rand_schema(rng, td), td, max_keys=12)
+
+
+class TestStrictAgainstRowOracle:
+    """The strict form read through ``Table.validate`` against the row loop
+    and the extent scan that it replaced."""
+
+    def test_tables_equal_in_row_order(self):
+        for _, m in _strict_cases(101, 600):
+            lax, scanned = to_lax(m), strict_tables_by_scan(m)
+            assert list(lax.table_of) == list(scanned)
+            for r, table in scanned.items():
+                assert lax.table_of[r].signature == table.signature
+                assert list(lax.table_of[r].rows.items()) == list(table.rows.items())
+                assert m.extent(r) == list(table.rows)
+            assert outcome(validate_strict, m) is None is outcome(check_strict_by_rows, m)
+
+    @pytest.mark.parametrize("kind", sorted(MUTATIONS))
+    def test_one_fault_fails_as_the_oracle_does(self, kind):
+        tried = 0
+        for rng, m in _strict_cases(200 + sorted(MUTATIONS).index(kind), 500):
+            broken = MUTATIONS[kind](rng, m)
+            if broken is None:
+                continue
+            tried += 1
+            got = outcome(validate_strict, broken)
+            if kind == "key outside keys":  # the oracle lets it through
+                outside = next(k for k, _ in broken.classifies if k not in broken.keys)
+                assert outcome(check_strict_by_rows, broken) is None
+                assert got[0].__name__ == "UnresolvedReference"
+                assert got[1] == f"unresolved key reference {outside!r}"
+            else:
+                assert got is not None and got == outcome(check_strict_by_rows, broken)
+        assert tried >= 100
+
+    def test_several_faults_fail_exactly_where_the_oracle_does(self):
+        kinds, failed = sorted(MUTATIONS), 0
+        for rng, m in _strict_cases(103, 800):
+            for kind in rng.sample(kinds, rng.randint(0, 3)):
+                m = MUTATIONS[kind](rng, m) or m
+            outside = any(k not in m.keys for k, _ in m.classifies)
+            expected = outside or outcome(check_strict_by_rows, m) is not None
+            assert (outcome(validate_strict, m) is not None) == expected
+            failed += expected
+        assert failed >= 300
+
+    def test_key_bridges_equal_the_scan(self):
+        rng = random.Random(107)
+        for _ in range(300):
+            sm, m2, m1 = rand_strict_morphism_setup(rng)
+            lm = strict_morphism_to_lax(sm, m2, m1)
+            scanned = strict_key_bridges_by_scan(sm, m2, m1)
+            assert list(lm.key_bridge) == list(scanned)
+            for r2, bridge in scanned.items():
+                assert list(lm.key_bridge[r2].items()) == list(bridge.items())
+
+    def test_broken_morphisms_fail_as_the_scan_does(self):
+        rng, failed = random.Random(109), 0
+        for _ in range(400):
+            sm, m2, m1 = rand_strict_morphism_setup(rng)
+            key_map, classifies2 = dict(sm.key_map), set(m2.classifies)
+            for _ in range(rng.randint(1, 3)):
+                fault = rng.randrange(3)
+                if fault == 0 and classifies2:  # unclassify an image
+                    classifies2.discard(rng.choice(sorted(classifies2)))
+                elif fault == 1 and key_map:  # leave a key unmapped
+                    del key_map[rng.choice(sorted(key_map))]
+                elif fault == 2 and key_map:  # send a key to another image
+                    key_map[rng.choice(sorted(key_map))] = rng.choice(m2.keys)
+            sm = StrictStructureMorphism(sm.predicate_map, key_map, sm.schema_bridge,
+                                         sm.td_morphism)
+            m2 = StrictStructure(m2.schema, m2.type_domain, m2.keys,
+                                 frozenset(classifies2), m2.tuple_of_key)
+            got = outcome(strict_morphism_to_lax, sm, m2, m1)
+            assert got == outcome(strict_key_bridges_by_scan, sm, m2, m1)
+            failed += got is not None
+        assert failed >= 100

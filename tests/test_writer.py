@@ -5,6 +5,7 @@ import json
 import os
 import random
 import sys
+from collections import OrderedDict
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,6 +45,19 @@ json_values = st.recursive(
 @given(json_values)
 def test_matches_json_dumps(obj):
     assert dump_json(obj) == reference(obj)
+
+
+class Text(str):
+    pass
+
+
+@pytest.mark.parametrize("leaf", [
+    {}, [], (), OrderedDict(), True, False, None, 0, -7, 2 ** 70, 1.5, -0.0, 1e300,
+    float("nan"), float("inf"), -float("inf"), "", "é\n", Text("t\"")])
+def test_leaves_match_json_dumps(leaf):
+    """A scalar or an empty container, alone, in lists and as a value."""
+    for payload in (leaf, [leaf], [leaf, "x"], (leaf, leaf), {"a": leaf, "b": [leaf]}):
+        assert dump_json(payload) == reference(payload)
 
 
 @settings(max_examples=50, deadline=None)
