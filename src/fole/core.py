@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping
 
 from .errors import (FoleError, InfomorphismViolation, SignatureMismatch,
                      SortMismatch, UnknownSort, UnresolvedReference)
@@ -152,19 +152,13 @@ class ClassificationReport(Record, frozen=True):
     separated: bool
     extensional: bool
     disjoint: bool
-    partitioned: bool
-    pseudo_partitioned: bool
-    special_instance: Optional[str] = None
-
-    def __post_init__(self):
-        assert not self.partitioned or self.disjoint
-        assert not self.pseudo_partitioned or self.disjoint
+    partitioned: bool  # disjoint, and every value classified
 
 
 def classify(td: TypeDomain) -> ClassificationReport:
     """The classification flags, by hashing intents and extents.  The values
     are the union of the extents, so none is unclassified: a disjoint domain
-    is partitioned, and none is pseudo-partitioned."""
+    is partitioned."""
     intents: dict[str, tuple[str, ...]] = {}  # value -> the sorts listing it
     for x in td.sorts:
         for v in td.extents[x]:
@@ -174,7 +168,9 @@ def classify(td: TypeDomain) -> ClassificationReport:
     return ClassificationReport(
         separated=len(set(intents.values())) == len(intents),
         extensional=len(set(extents)) == len(extents),
-        disjoint=disjoint, partitioned=disjoint, pseudo_partitioned=False)
+        disjoint=disjoint,
+        partitioned=disjoint,
+    )
 
 
 class SignatureMorphism(Record, frozen=True):

@@ -196,9 +196,10 @@ def to_lax(m: StrictStructure) -> LaxStructure:
     by ``check_table`` when first read.  There a bad row, or a classified key
     with no tuple, breaks the defining condition at its key."""
     def table(r: str, keys: list[Key]) -> Table:
+        rows = dict(zip(keys, map(m.tuple_of_key.get, keys)))
         try:
-            return check_table(r, Table(m.schema.signature_of(r), dict(zip(
-                keys, map(m.tuple_of_key.get, keys)))), m.schema, m.type_domain)
+            return check_table(r, Table(m.schema.signature_of(r), rows),
+                               m.schema, m.type_domain)
         except SignatureMismatch as exc:  # from the row loop, naming the key
             raise DefiningConditionViolation(exc.key, r) from None
     return LaxStructure(m.schema, m.type_domain, Lazy(m.extents, table))
@@ -428,22 +429,22 @@ def strict_morphism_to_lax(sm: StrictStructureMorphism,
                            m2: StrictStructure,
                            m1: StrictStructure) -> LaxStructureMorphism:
     """Restrict the global key map per predicate, after checking the entity
-    infomorphism biconditional on the grouped extents; a fault is named by a
-    scan of ``m1.keys``, the first where the key map fails or the two differ."""
-    preimage: dict[Key, list[Key]] = {}  # a key of m2 -> the keys of m1 sent to it
-    for k1 in m1.keys:
-        if k1 in sm.key_map:
-            preimage.setdefault(sm.key_map[k1], []).append(k1)
-    total = sm.key_map.keys() >= set(m1.keys)
-    key_bridge = {}
+    infomorphism biconditional."""
     for r2 in m2.schema.predicates:
         r1 = entry(sm.predicate_map, r2, "predicate map")
-        ext1, ext2 = set(m1.extent(r1)), set(m2.extent(r2))
-        if not total or ext1 != {k1 for k2 in ext2 for k1 in preimage.get(k2, ())}:
-            k1 = next(k1 for k1 in m1.keys if k1 not in sm.key_map
-                      or (sm.key_map[k1] in ext2) != (k1 in ext1))
-            entry(sm.key_map, k1, "key map")
-            raise EntityInfomorphismViolation(r2, k1)
-        key_bridge[r2] = {k1: sm.key_map[k1] for k1 in m1.extent(r1)}
-    return LaxStructureMorphism(dict(sm.predicate_map), dict(sm.schema_bridge),
-                                sm.td_morphism, key_bridge)
+        for k1 in m1.keys:
+            left = (entry(sm.key_map, k1, "key map"), r2) in m2.classifies
+            right = (k1, r1) in m1.classifies
+            if left != right:
+                raise EntityInfomorphismViolation(r2, k1)
+    key_bridge = {
+        r2: {k1: sm.key_map[k1] for k1 in m1.extent(sm.predicate_map[r2])}
+        for r2 in m2.schema.predicates
+    }
+    lm = LaxStructureMorphism(
+        predicate_map=dict(sm.predicate_map),
+        schema_bridge=dict(sm.schema_bridge),
+        td_morphism=sm.td_morphism,
+        key_bridge=key_bridge,
+    )
+    return lm

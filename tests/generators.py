@@ -47,8 +47,7 @@ from fole import (
     pushed_signature,
     tuple_along,
 )
-from fole.core import entry
-from fole.errors import DefiningConditionViolation, EntityInfomorphismViolation
+from fole.errors import DefiningConditionViolation
 from fole.structure import check_table
 
 _FRESH = itertools.count()
@@ -87,11 +86,12 @@ def classify_pairwise(td: TypeDomain) -> ClassificationReport:
     extensional = all(ext[x] != ext[z] for x, z in itertools.combinations(td.sorts, 2))
     disjoint = all(not (ext[x] & ext[z]) for x, z in itertools.combinations(td.sorts, 2))
     unclassified = [y for y in values if not intents[y]]
-    pseudo = disjoint and len(unclassified) == 1
     return ClassificationReport(
-        separated=separated, extensional=extensional, disjoint=disjoint,
-        partitioned=disjoint and not unclassified, pseudo_partitioned=pseudo,
-        special_instance=unclassified[0] if pseudo else None)
+        separated=separated,
+        extensional=extensional,
+        disjoint=disjoint,
+        partitioned=disjoint and not unclassified,
+    )
 
 
 def rand_signature(rng: random.Random, td: TypeDomain, max_len=3,
@@ -209,15 +209,9 @@ def check_strict_by_rows(m: StrictStructure) -> None:
 
 def strict_key_bridges_by_scan(sm: StrictStructureMorphism, m2: StrictStructure,
                                m1: StrictStructure) -> dict[str, dict]:
-    """Scan oracle of ``strict_morphism_to_lax``'s key bridges: the entity
-    infomorphism biconditional at every predicate and every key of ``m1``,
-    in order, then each bridge restricted to the keys ``r1`` classifies."""
-    for r2 in m2.schema.predicates:
-        r1 = entry(sm.predicate_map, r2, "predicate map")
-        for k1 in m1.keys:
-            left = (entry(sm.key_map, k1, "key map"), r2) in m2.classifies
-            if left != ((k1, r1) in m1.classifies):
-                raise EntityInfomorphismViolation(r2, k1)
+    """Scan oracle of ``strict_morphism_to_lax``'s key bridges: each bridge is
+    the key map restricted to the keys of ``m1`` that ``r1`` classifies, found
+    by a scan of every key, in ``keys`` order."""
     return {r2: {k1: sm.key_map[k1] for k1 in m1.keys
                  if (k1, sm.predicate_map[r2]) in m1.classifies}
             for r2 in m2.schema.predicates}
