@@ -30,6 +30,7 @@ from .errors import (
     EntityInfomorphismViolation,
     FoleError,
     KeyBridgeViolation,
+    NaturalityViolation,
     SignatureMismatch,
     UnresolvedReference,
 )
@@ -56,6 +57,7 @@ from .tables import (
     Relation,
     Table,
     TableMorphism,
+    check_table_morphism,
     fiber_boolean,
     fiber_flow,
     relation_include,
@@ -80,9 +82,9 @@ class StrictStructure(Record):
     def extents(self) -> dict[str, list[Key]]:
         """Each predicate's classified keys in ``keys`` order, grouped by one
         pass over ``classifies``.  A pair whose key is outside ``keys`` or whose
-        predicate is outside the schema fails; the least by ``repr`` is named."""
-        n = len(self.keys)  # a key listed twice ranks where it is first listed
-        rank = dict(zip(reversed(self.keys), range(n - 1, -1, -1)))
+        predicate is outside the schema fails, the least by ``repr`` named; then
+        a key listed twice, or a tuple for a key outside them, in file order."""
+        rank = dict(zip(self.keys, range(len(self.keys))))
         ranks: dict[str, list[int]] = {r: [] for r in self.schema.predicates}
         try:
             for k, r in self.classifies:
@@ -92,6 +94,11 @@ class StrictStructure(Record):
                         if k not in rank or r not in ranks), key=repr)
             self.schema.signature_of(r)  # an UnknownPredicate, if r is the fault
             raise UnresolvedReference("key", k) from None
+        if len(rank) < len(self.keys):  # the first key listed again
+            k = next(k for i, k in enumerate(self.keys) if rank[k] != i)
+            raise FoleError(f"key set lists key {k!r} twice")
+        for k in (k for k in self.tuple_of_key if k not in rank):
+            raise UnresolvedReference("key", k)
         return {r: [self.keys[i] for i in sorted(rs)] for r, rs in ranks.items()}
 
     def extent(self, predicate: str) -> list[Key]:
@@ -393,24 +400,22 @@ def check_bridge(r2: str, sig2: Signature, sort_map: Mapping[str, str],
 
 def validate_lax_morphism(lm: LaxStructureMorphism, m2: LaxStructure,
                           m1: LaxStructure) -> None:
-    """Check the bridge at every predicate and the key condition at each key;
-    a key bridge is exact: it maps the keys of ``m1``'s table and no other."""
+    """Check the bridge and, by ``check_table_morphism``, the key condition at
+    every predicate; a key bridge is exact: it maps ``m1``'s table's keys only."""
     check_type_domain_morphism(lm.td_morphism, m2.type_domain, m1.type_domain)
     for r2, sig2 in m2.schema.predicates.items():
         r1 = entry(lm.predicate_map, r2, "predicate map")
         bridge = entry(lm.schema_bridge, r2, "bridge")
         check_bridge(r2, sig2, lm.td_morphism.f, bridge, m1.schema, r1)
         kappa = entry(lm.key_bridge, r2, "key bridge")
-        t2 = m2.table_of[r2]
-        t1 = m1.table_of[r1]
-        for k1 in t1.rows:
-            if k1 not in kappa or kappa[k1] not in t2.rows:
-                raise KeyBridgeViolation(r2, k1)
-            expected = lm.td_morphism.map_row(tuple_along(bridge, t1.rows[k1]))
-            if t2.rows[kappa[k1]] != expected:
-                raise KeyBridgeViolation(r2, k1)
-        if len(kappa) != len(t1.rows):
-            raise KeyBridgeViolation(r2, next(k for k in kappa if k not in t1.rows))
+        t2 = Table(bridge.source, m2.table_of[r2].rows)
+        rows1 = m1.table_of[r1].rows
+        t1 = Table(bridge.target,
+                   dict(zip(rows1, map(lm.td_morphism.map_row, rows1.values()))))
+        try:  # pushing values along g commutes with projecting along the bridge
+            check_table_morphism(TableMorphism(bridge, kappa), t2, t1)
+        except NaturalityViolation as exc:
+            raise KeyBridgeViolation(r2, exc.key) from None
 
 
 class StrictStructureMorphism(Record):
@@ -428,8 +433,12 @@ class StrictStructureMorphism(Record):
 def strict_morphism_to_lax(sm: StrictStructureMorphism,
                            m2: StrictStructure,
                            m1: StrictStructure) -> LaxStructureMorphism:
-    """Restrict the global key map per predicate, after checking the entity
-    infomorphism biconditional."""
+    """Restrict the global key map per predicate, after checking that it sends
+    keys of ``m1`` to keys of ``m2`` and the entity infomorphism biconditional."""
+    keys1, keys2 = set(m1.keys), set(m2.keys)
+    for k1, k2 in sm.key_map.items():
+        if k1 not in keys1 or k2 not in keys2:
+            raise UnresolvedReference("key", k2 if k1 in keys1 else k1)
     for r2 in m2.schema.predicates:
         r1 = entry(sm.predicate_map, r2, "predicate map")
         for k1 in m1.keys:

@@ -43,12 +43,14 @@ from fole import (
     Top,
     TypeDomain,
     TypeDomainMorphism,
+    check_type_domain_morphism,
     enumerate_tuples,
     pushed_signature,
     tuple_along,
 )
-from fole.errors import DefiningConditionViolation
-from fole.structure import check_table
+from fole.core import entry
+from fole.errors import DefiningConditionViolation, KeyBridgeViolation
+from fole.structure import check_bridge, check_table
 
 _FRESH = itertools.count()
 
@@ -443,6 +445,67 @@ def rand_lax_morphism_setup(rng: random.Random):
     return lm, m2, m1
 
 
+def key_condition_by_keys(lm: LaxStructureMorphism, m2: LaxStructure,
+                          m1: LaxStructure) -> None:
+    """Key-loop oracle of ``validate_lax_morphism``: the bridge at every
+    predicate, then the key condition one key of ``m1``'s table at a time, in
+    row order, then an entry of the key bridge for a key the table lacks."""
+    check_type_domain_morphism(lm.td_morphism, m2.type_domain, m1.type_domain)
+    for r2, sig2 in m2.schema.predicates.items():
+        r1 = entry(lm.predicate_map, r2, "predicate map")
+        bridge = entry(lm.schema_bridge, r2, "bridge")
+        check_bridge(r2, sig2, lm.td_morphism.f, bridge, m1.schema, r1)
+        kappa = entry(lm.key_bridge, r2, "key bridge")
+        t2 = m2.table_of[r2]
+        t1 = m1.table_of[r1]
+        for k1 in t1.rows:
+            if k1 not in kappa or kappa[k1] not in t2.rows:
+                raise KeyBridgeViolation(r2, k1)
+            expected = lm.td_morphism.map_row(tuple_along(bridge, t1.rows[k1]))
+            if t2.rows[kappa[k1]] != expected:
+                raise KeyBridgeViolation(r2, k1)
+        if len(kappa) != len(t1.rows):
+            raise KeyBridgeViolation(r2, next(k for k in kappa if k not in t1.rows))
+
+
+KEY_FAULTS = ("dropped entry", "junk entry", "moved target", "target outside",
+              "changed row")
+
+
+def break_key_condition(rng: random.Random, lm: LaxStructureMorphism,
+                        m2: LaxStructure, kind: str) -> bool:
+    """Put one fault of ``kind`` (one of ``KEY_FAULTS``) into ``lm``'s key
+    bridges, or into the ``m2`` row that one of them reaches, in place; False
+    where the morphism has no place for it.  A changed row stays well-sorted."""
+    if kind == "junk entry":
+        r2 = rng.choice(sorted(lm.key_bridge))
+        lm.key_bridge[r2][f"junk{next(_FRESH)}"] = rng.choice(
+            list(m2.table_of[r2].rows) or ["nowhere"])
+        return True
+    places = sorted((r2, k1) for r2, kappa in lm.key_bridge.items()
+                    for k1, k2 in kappa.items() if k2 in m2.table_of[r2].rows)
+    if not places:
+        return False
+    r2, k1 = rng.choice(places)
+    kappa, table2 = lm.key_bridge[r2], m2.table_of[r2]
+    row = table2.rows[kappa[k1]]
+    if kind == "dropped entry":
+        del kappa[k1]
+    elif kind == "target outside":
+        kappa[k1] = f"nowhere{next(_FRESH)}"
+    elif kind == "moved target":
+        others = [k2 for k2, t in table2.rows.items() if t != row]
+        if not others:
+            return False
+        kappa[k1] = rng.choice(others)
+    else:  # changed row
+        pool = [t for t in enumerate_tuples(table2.signature, m2.type_domain) if t != row]
+        if not pool:
+            return False
+        table2.rows[kappa[k1]] = rng.choice(pool)
+    return True
+
+
 def rand_strict_morphism_setup(rng: random.Random):
     """A strict structure morphism built to pass both infomorphism checks.
 
@@ -492,9 +555,10 @@ def rand_logic_morphism_setup(rng: random.Random):
     """A validated sound-logic morphism with its endpoint logics.
 
     Returns (lm, l2, l1).  Built over a surjective infomorphism with a fixed
-    per-sort preimage choice so spec-morphism naturality holds with
-    attribute-identity bridges, and structure tables are g-pushed copies so
-    satisfaction transports.
+    per-sort preimage choice; each bridge renames every attribute ``a`` of
+    the 1-side to ``n<tag>_a`` on the 2-side, and each constraint morphism is
+    renamed to match, so spec-morphism naturality holds.  Structure tables
+    are g-pushed copies, so satisfaction transports.
     """
     m, a2, a1 = rand_infomorphism(rng)
     spec1 = rand_spec(rng, a1)
@@ -505,6 +569,7 @@ def rand_logic_morphism_setup(rng: random.Random):
     preimages = {x1: [x2 for x2 in a2.sorts if f[x2] == x1] for x1 in a1.sorts}
     rho = {x1: rng.choice(preimages[x1]) for x1 in a1.sorts}
     tag = next(_FRESH)
+    renamed = f"n{tag}_{{}}".format
     predicates2 = {}
     predicate_map = {}
     bridge = {}
@@ -512,11 +577,12 @@ def rand_logic_morphism_setup(rng: random.Random):
     tables2 = {}
     for r1, sig1 in schema1.predicates.items():
         r2 = f"Q{tag}_{r1}"
-        sig2 = Signature(sig1.attrs, tuple(rho[s] for s in sig1.sorts))
+        sig2 = Signature(tuple(map(renamed, sig1.attrs)),
+                         tuple(rho[s] for s in sig1.sorts))
         predicates2[r2] = sig2
         predicate_map[r2] = r1
         bridge[r2] = SignatureMorphism.of(
-            pushed_signature(sig2, m.f), sig1, {a: a for a in sig1.attrs})
+            pushed_signature(sig2, m.f), sig1, {renamed(a): a for a in sig1.attrs})
         rows2 = {}
         kappa = {}
         for k1, t1 in struct1.table_of[r1].rows.items():
@@ -533,7 +599,8 @@ def rand_logic_morphism_setup(rng: random.Random):
         p2 = f"q{tag}_{p1}"
         src2, tgt2 = r1_to_r2[c1.source_predicate], r1_to_r2[c1.target_predicate]
         h2 = SignatureMorphism.of(
-            predicates2[src2], predicates2[tgt2], c1.morphism.map)
+            predicates2[src2], predicates2[tgt2],
+            {renamed(a): renamed(b) for a, b in c1.morphism.map.items()})
         constraints2[p2] = GeneratingConstraint(p2, src2, tgt2, h2)
         constraint_map[p2] = p1
     spec2 = AbstractSpec(schema2, constraints2)

@@ -238,6 +238,48 @@ class TestStrictItems:
             (2, "ITEM structures/X: FAIL UnresolvedReference: "
                 "unresolved key reference 'zz'\n")
 
+    @pytest.mark.parametrize("twice, stray, error", [
+        (True, False, "FoleError: key set lists key 'k1' twice"),
+        (False, True, "UnresolvedReference: unresolved key reference 'stray'"),
+        (True, True, "FoleError: key set lists key 'k1' twice")])
+    def test_key_listed_twice_or_tuple_outside_the_key_set(
+            self, tmp_path, twice, stray, error):
+        """``keys`` lists each key once and ``tuples`` holds rows only for its
+        keys: a key listed again, then a stray row, fails the structure as
+        it is grouped, so every command that reads it fails."""
+        bad = strict_structure(**{"stray": [1, 2, 3]} if stray else {})
+        bad["keys"] += ["k1"] if twice else []
+        assert [(d.section, d.name, d.error) for d in self.load(bad).diagnostics] == [
+            ("structures", "X", error)]
+        path = self.write(tmp_path, bad)
+        assert run(["check", "-w", path, "structure", "X"]) == \
+            (1, "ITEM X: FAIL {} {}\n".format(*error.split(": ", 1)))
+        assert run(["eval", "-w", path, "-s", "X", "Emp"]) == \
+            (2, f"ITEM structures/X: FAIL {error}\n")
+
+    @pytest.mark.parametrize("target, key_map, fault", [
+        ("S", {"zz": "k1"}, "zz"), ("X", {"u": "nowhere"}, "nowhere")])
+    def test_key_map_sends_target_keys_to_source_keys(self, tmp_path, target,
+                                                      key_map, fault):
+        """A strict key map is a function from the target's keys into the
+        source's: an entry for a key outside the target's key set, or one
+        that sends a key of it (X's unclassified ``u``) outside the source's,
+        fails the morphism, naming that key."""
+        x = strict_structure()
+        x["keys"].append("u")
+        morphism = dict(strict_morphism("S", **key_map), target=target)
+        error = f"UnresolvedReference: unresolved key reference {fault!r}"
+        assert [(d.section, d.name, d.error)
+                for d in self.load(x, morphism).diagnostics] == [
+            ("structureMorphisms", "mX", error)]
+        raw = json.load(open(FIXTURE))
+        raw["structures"].update(S=strict_structure(), X=x)
+        raw["structureMorphisms"]["mX"] = morphism
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        assert run(["check", "-w", str(path), "morphism", "mX"]) == \
+            (1, f"ITEM mX: FAIL UnresolvedReference unresolved key reference {fault!r}\n")
+
     def test_eval_reads_only_the_tables_it_names(self, tmp_path):
         """As for a lax structure, a bad row fails an eval that reads its
         table and the full check, not an eval that reads other tables."""

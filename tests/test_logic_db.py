@@ -57,8 +57,9 @@ from fole.cli import cmd_check, main
 from fole.errors import FoleError
 from fole.specs import satisfies_spec
 from fole.workspace import load_workspace, load_workspace_data
-from generators import rand_database, rand_logic_morphism_setup, \
-    rand_satisfied_pair, rand_type_domain, unit_composite_pair
+from generators import KEY_FAULTS, break_key_condition, key_condition_by_keys, \
+    rand_database, rand_logic_morphism_setup, rand_satisfied_pair, \
+    rand_type_domain, unit_composite_pair
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE = os.path.join(ROOT, "tests", "fixtures", "workspace.json")
@@ -341,6 +342,31 @@ class TestMorphismConversions:
                 lm2.structure_morphism.predicate_map
             assert lm3.structure_morphism.key_bridge == \
                 lm2.structure_morphism.key_bridge
+
+    def test_key_condition_through_renaming_bridges(self):
+        """Each bridge of the logic setups renames every attribute, so the key
+        condition is checked through a bridge that is not an identity: a
+        fault in a key bridge, or in the row it reaches, fails the assembly
+        with the key loop's error and message, and none passes it."""
+        def verdict(fn, *args):
+            try:
+                fn(*args)
+            except FoleError as exc:
+                return type(exc), str(exc)
+            return None
+
+        rng, renamed = random.Random(113), 0
+        for i in range(150):
+            lm, l2, l1 = rand_logic_morphism_setup(rng)
+            strm = lm.structure_morphism
+            renamed += any(b.source.attrs != b.target.attrs
+                           for b in strm.schema_bridge.values())
+            broke = break_key_condition(rng, strm, l2.structure,
+                                        KEY_FAULTS[i % len(KEY_FAULTS)])
+            expected = verdict(key_condition_by_keys, strm, l2.structure, l1.structure)
+            assert (expected is not None) == broke, i
+            assert verdict(snd_mor_to_db_mor, lm, l2, l1) == expected, i
+        assert renamed >= 100
 
     def test_passages_send_identities_to_identities(self):
         """Both endpoint logics of 200 seeded logic morphisms: each passage

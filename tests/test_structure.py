@@ -5,9 +5,12 @@ import random
 import pytest
 
 from fole import (
+    AbstractSpec,
     Atom,
     Bottom,
     Constraint,
+    Database,
+    DatabaseMorphism,
     Exists,
     LaxStructure,
     LaxStructureMorphism,
@@ -17,6 +20,7 @@ from fole import (
     Sequent,
     Signature,
     SignatureMorphism,
+    SpecMorphism,
     StrictStructure,
     StrictStructureMorphism,
     Subst,
@@ -38,6 +42,7 @@ from fole import (
     strict_morphism_to_lax,
     table_image,
     to_lax,
+    validate_db_morphism,
     validate_lax_morphism,
     validate_strict,
 )
@@ -56,7 +61,10 @@ from fole.errors import (
 )
 from fole.structure import Lazy
 from generators import (
+    KEY_FAULTS,
+    break_key_condition,
     check_strict_by_rows,
+    key_condition_by_keys,
     rand_formula,
     rand_lax_morphism_setup,
     rand_lax_structure,
@@ -429,6 +437,52 @@ class TestLaxMorphism:
         for _ in range(60):
             lm, m2, m1 = rand_lax_morphism_setup(rng)
             validate_lax_morphism(lm, m2, m1)
+
+
+def as_databases(lm, m2, m1):
+    """``(dm, db2, db1)``: ``lm``'s data as a database morphism between the
+    constraint-free databases of ``m2`` and ``m1``."""
+    def db(m):
+        return Database(AbstractSpec(m.schema, {}), m.type_domain, m.table_of, {})
+    sm = SpecMorphism(lm.predicate_map, {}, lm.td_morphism.f, lm.schema_bridge)
+    return DatabaseMorphism(sm, lm.td_morphism, lm.key_bridge), db(m2), db(m1)
+
+
+class TestKeyConditionAgainstKeyLoop:
+    """The key condition as one ``check_table_morphism`` per predicate against
+    the key loop it replaced (``key_condition_by_keys``): seeded morphisms,
+    each unchanged or with one fault, get the same outcome, error class and
+    message, also through ``validate_db_morphism``."""
+
+    def test_same_verdict_as_the_key_loop(self):
+        """100 cases of each kind, 600 in all, every fourth also as databases."""
+        rng = random.Random(109)
+        for kind in (None,) + KEY_FAULTS:
+            done = 0
+            while done < 100:
+                lm, m2, m1 = rand_lax_morphism_setup(rng)
+                if kind and not break_key_condition(rng, lm, m2, kind):
+                    continue
+                expected = outcome(key_condition_by_keys, lm, m2, m1)
+                assert (expected is None) == (kind is None), (kind, done)
+                assert outcome(validate_lax_morphism, lm, m2, m1) == expected, (kind, done)
+                if done % 4 == 0:
+                    assert outcome(validate_db_morphism, *as_databases(lm, m2, m1)) \
+                        == expected, (kind, done)
+                done += 1
+
+    def test_several_faults_name_the_first_bad_key(self):
+        """Up to three faults at once: the first bad key in row order, then a
+        junk entry, is the one both name."""
+        rng, failed = random.Random(127), 0
+        for _ in range(300):
+            lm, m2, m1 = rand_lax_morphism_setup(rng)
+            for kind in rng.sample(KEY_FAULTS, rng.randint(1, 3)):
+                break_key_condition(rng, lm, m2, kind)
+            expected = outcome(key_condition_by_keys, lm, m2, m1)
+            assert outcome(validate_lax_morphism, lm, m2, m1) == expected
+            failed += expected is not None
+        assert failed >= 200
 
 
 class TestStrictMorphism:
