@@ -242,8 +242,9 @@ def check_signature_morphism(h: SignatureMorphism) -> None:
             raise SortMismatch(a, "<target attribute>", b)
         if h.source.sort_of(a) != tgt.sort_of(b):
             raise SortMismatch(a, tgt.sort_of(b), h.source.sort_of(a))
+    mapped = h.map
     for a in h.source.attrs:
-        if a not in dict(h.mapping):
+        if a not in mapped:
             raise SortMismatch(a, "<mapped>", "<missing>")
 
 
@@ -306,14 +307,13 @@ def check_type_domain_morphism(m: TypeDomainMorphism,
             raise InfomorphismViolation(x2, "<any>", "sort map not total")
         if f[x2] not in a1.sorts:
             raise UnknownSort(f[x2])
-    for y1 in a1.values():
+    values1 = a1.values()
+    for y1 in values1:
         if y1 not in g:
             raise InfomorphismViolation("<any>", y1, "value map not total")
     for x2 in a2.sorts:
-        for y1 in a1.values():
-            left = g[y1] in a2.extent(x2)
-            right = y1 in a1.extent(f[x2])
-            if left and not right:
-                raise InfomorphismViolation(x2, y1, "g(y) classified but y is not")
-            if right and not left:
-                raise InfomorphismViolation(x2, y1, "y classified but g(y) is not")
+        ext2, ext1 = set(a2.extent(x2)), set(a1.extent(f[x2]))
+        for y1 in values1:
+            if (g[y1] in ext2) != (y1 in ext1):
+                raise InfomorphismViolation(x2, y1, "y classified but g(y) is not"
+                                            if y1 in ext1 else "g(y) classified but y is not")

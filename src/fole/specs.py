@@ -193,11 +193,9 @@ def validate_spec_morphism(sm: SpecMorphism,
         if (sm.predicate_map[c2.source_predicate] != c1.source_predicate
                 or sm.predicate_map[c2.target_predicate] != c1.target_predicate):
             raise NaturalityViolation(p2_name, "endpoint predicates disagree")
-        bridge_src = sm.bridge[c2.source_predicate]
-        bridge_tgt = sm.bridge[c2.target_predicate]
+        bridge_src = sm.bridge[c2.source_predicate].map
+        bridge_tgt = sm.bridge[c2.target_predicate].map
         h2, h1 = c2.morphism.map, c1.morphism.map
         for i2p in c2.morphism.source.attrs:
-            left = bridge_tgt.map[h2[i2p]]
-            right = h1[bridge_src.map[i2p]]
-            if left != right:
+            if bridge_tgt[h2[i2p]] != h1[bridge_src[i2p]]:
                 raise NaturalityViolation(p2_name, f"square breaks at {i2p!r}")

@@ -101,9 +101,6 @@ class StrictStructure(Record):
             raise UnresolvedReference("key", k)
         return {r: [self.keys[i] for i in sorted(rs)] for r, rs in ranks.items()}
 
-    def extent(self, predicate: str) -> list[Key]:
-        return self.extents.get(predicate, [])
-
 
 def validate_strict(m: StrictStructure) -> None:
     """The defining condition's full check: each table of ``to_lax(m)`` read."""
@@ -433,27 +430,24 @@ class StrictStructureMorphism(Record):
 def strict_morphism_to_lax(sm: StrictStructureMorphism,
                            m2: StrictStructure,
                            m1: StrictStructure) -> LaxStructureMorphism:
-    """Restrict the global key map per predicate, after checking that it sends
-    keys of ``m1`` to keys of ``m2`` and the entity infomorphism biconditional."""
+    """Restrict the global key map per predicate, after checking that it maps
+    every key of ``m1`` into ``m2``'s keys, and the infomorphism biconditional."""
     keys1, keys2 = set(m1.keys), set(m2.keys)
     for k1, k2 in sm.key_map.items():
         if k1 not in keys1 or k2 not in keys2:
             raise UnresolvedReference("key", k2 if k1 in keys1 else k1)
-    for r2 in m2.schema.predicates:
-        r1 = entry(sm.predicate_map, r2, "predicate map")
+    pm = {r2: entry(sm.predicate_map, r2, "predicate map") for r2 in m2.extents}
+    km = {k1: entry(sm.key_map, k1, "key map") for k1 in m1.keys}
+    key_bridge = {}
+    for r2, r1 in pm.items():
+        kappa = key_bridge[r2] = {k1: km[k1] for k1 in m1.extents.get(r1, ())}
+        extent2 = set(m2.extents[r2])
         for k1 in m1.keys:
-            left = (entry(sm.key_map, k1, "key map"), r2) in m2.classifies
-            right = (k1, r1) in m1.classifies
-            if left != right:
+            if (km[k1] in extent2) != (k1 in kappa):
                 raise EntityInfomorphismViolation(r2, k1)
-    key_bridge = {
-        r2: {k1: sm.key_map[k1] for k1 in m1.extent(sm.predicate_map[r2])}
-        for r2 in m2.schema.predicates
-    }
-    lm = LaxStructureMorphism(
+    return LaxStructureMorphism(
         predicate_map=dict(sm.predicate_map),
         schema_bridge=dict(sm.schema_bridge),
         td_morphism=sm.td_morphism,
         key_bridge=key_bridge,
     )
-    return lm

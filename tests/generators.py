@@ -49,7 +49,14 @@ from fole import (
     tuple_along,
 )
 from fole.core import entry
-from fole.errors import DefiningConditionViolation, KeyBridgeViolation
+from fole.errors import (
+    DefiningConditionViolation,
+    EntityInfomorphismViolation,
+    InfomorphismViolation,
+    KeyBridgeViolation,
+    UnknownSort,
+    UnresolvedReference,
+)
 from fole.structure import check_bridge, check_table
 
 _FRESH = itertools.count()
@@ -393,6 +400,73 @@ def rand_infomorphism(rng: random.Random, max_sorts=3, max_extent=3,
     return m, a2, a1
 
 
+def type_domain_condition_by_pairs(m: TypeDomainMorphism, a2: TypeDomain,
+                                   a1: TypeDomain) -> None:
+    """Pair-loop oracle of ``check_type_domain_morphism``: the totality checks,
+    then the biconditional at every (sort, value) pair, listing the values
+    of ``a1`` again for each sort and scanning extent tuples."""
+    f, g = m.f, m.g
+    for x2 in a2.sorts:
+        if x2 not in f:
+            raise InfomorphismViolation(x2, "<any>", "sort map not total")
+        if f[x2] not in a1.sorts:
+            raise UnknownSort(f[x2])
+    for y1 in a1.values():
+        if y1 not in g:
+            raise InfomorphismViolation("<any>", y1, "value map not total")
+    for x2 in a2.sorts:
+        for y1 in a1.values():
+            left = g[y1] in a2.extent(x2)
+            right = y1 in a1.extent(f[x2])
+            if left and not right:
+                raise InfomorphismViolation(x2, y1, "g(y) classified but y is not")
+            if right and not left:
+                raise InfomorphismViolation(x2, y1, "y classified but g(y) is not")
+
+
+INFOMORPHISM_FAULTS = ("g moved", "g dropped", "f dropped", "f moved")
+
+
+def break_infomorphism(rng: random.Random, m: TypeDomainMorphism, a2: TypeDomain,
+                       a1: TypeDomain, kinds) -> TypeDomainMorphism | None:
+    """``m`` with one fault of each of ``kinds`` (from ``INFOMORPHISM_FAULTS``),
+    or None where the morphism has no place for one.  A moved ``g`` value lands
+    on a value of ``a2`` in other extents, a moved ``f`` sort on a sort of
+    ``a1`` with another extent.  The values and sorts at which a move breaks
+    the condition are left alone by the later faults, so no fault undoes
+    another: with any kind given, the result fails."""
+    f, g = dict(m.f), dict(m.g)
+    intent = {v: {x2 for x2 in a2.sorts if v in a2.extent(x2)} for v in a2.values()}
+    held_y, held_x2 = set(), set()  # where a move breaks the condition
+    for kind in kinds:
+        if kind in ("g dropped", "f dropped"):
+            mapping = g if kind == "g dropped" else f
+            if not mapping:
+                return None
+            del mapping[rng.choice(sorted(mapping))]
+        elif kind == "g moved":
+            places = [(y1, v) for y1 in sorted(g) if y1 not in held_y
+                      for v in intent if intent[v] != intent.get(g[y1])]
+            if not places:
+                return None
+            y1, v = rng.choice(places)
+            held_x2 |= intent[v] ^ intent.get(g[y1], set())
+            held_y.add(y1)
+            g[y1] = v
+        else:  # f moved
+            places = [(x2, x1) for x2 in sorted(f) if x2 not in held_x2
+                      for x1 in a1.sorts
+                      if set(a1.extent(x1)) != set(a1.extent(f[x2]))
+                      and not held_y & (set(a1.extent(x1)) ^ set(a1.extent(f[x2])))]
+            if not places:
+                return None
+            x2, x1 = rng.choice(places)
+            held_y |= set(a1.extent(x1)) ^ set(a1.extent(f[x2]))
+            held_x2.add(x2)
+            f[x2] = x1
+    return TypeDomainMorphism.of(f, g)
+
+
 def rand_lax_morphism_setup(rng: random.Random):
     """A validated lax structure morphism with all its context.
 
@@ -549,6 +623,78 @@ def rand_strict_morphism_setup(rng: random.Random):
                          frozenset(classifies2), tuple2)
     sm = StrictStructureMorphism(predicate_map, key_map, schema_bridge, m)
     return sm, m2, m1
+
+
+def strict_condition_by_pairs(sm: StrictStructureMorphism, m2: StrictStructure,
+                              m1: StrictStructure) -> None:
+    """Pair-loop oracle of ``strict_morphism_to_lax``'s checks: the key-set
+    check, then at each predicate its predicate-map entry and, key by key,
+    its key-map entry and the biconditional as two probes of ``classifies``."""
+    keys1, keys2 = set(m1.keys), set(m2.keys)
+    for k1, k2 in sm.key_map.items():
+        if k1 not in keys1 or k2 not in keys2:
+            raise UnresolvedReference("key", k2 if k1 in keys1 else k1)
+    for r2 in m2.schema.predicates:
+        r1 = entry(sm.predicate_map, r2, "predicate map")
+        for k1 in m1.keys:
+            left = (entry(sm.key_map, k1, "key map"), r2) in m2.classifies
+            right = (k1, r1) in m1.classifies
+            if left != right:
+                raise EntityInfomorphismViolation(r2, k1)
+
+
+STRICT_FAULTS = ("classification dropped", "classification added", "key moved",
+                 "predicate map dropped", "key map dropped")
+
+
+def break_strict_morphism(rng: random.Random, sm: StrictStructureMorphism,
+                          m2: StrictStructure, m1: StrictStructure, kinds):
+    """``(sm, m2)`` with one fault of each of ``kinds`` (from
+    ``STRICT_FAULTS``) in fresh copies, or None where they have no place for
+    one.  A classification is dropped from or added to ``m2`` at a key of the
+    key map's image and a predicate of its schema; a key of ``m1`` is moved
+    to a key of ``m2`` classified otherwise.  Each fault holds the keys it
+    breaks at, so no later fault undoes it: with any kind given, both checks
+    reject the result."""
+    predicate_map, key_map = dict(sm.predicate_map), dict(sm.key_map)
+    classifies = set(m2.classifies)
+    held1, held2 = set(), set()  # keys of m1 and m2 a fault breaks at
+
+    def classes(k2):
+        return {r2 for r2 in m2.schema.predicates if (k2, r2) in classifies}
+
+    for kind in kinds:
+        free = [k1 for k1 in m1.keys if k1 in key_map and k1 not in held1
+                and key_map[k1] not in held2]
+        if kind == "predicate map dropped":
+            if not predicate_map:
+                return None
+            del predicate_map[rng.choice(sorted(predicate_map))]
+        elif kind == "key map dropped":
+            if not key_map:
+                return None
+            del key_map[rng.choice(sorted(key_map))]
+        elif kind == "key moved":
+            places = [(k1, k2) for k1 in free for k2 in m2.keys if k2 not in held2
+                      and classes(k2) != classes(key_map[k1])]
+            if not places:
+                return None
+            k1, k2 = rng.choice(places)
+            held1.add(k1)
+            held2 |= {k2, key_map[k1]}
+            key_map[k1] = k2
+        else:  # a classification dropped or added at the image of a free key
+            places = [(k1, r2) for k1 in free for r2 in m2.schema.predicates
+                      if ((key_map[k1], r2) in classifies) == (kind.endswith("dropped"))]
+            if not places:
+                return None
+            k1, r2 = rng.choice(places)
+            held1.add(k1)
+            held2.add(key_map[k1])
+            classifies ^= {(key_map[k1], r2)}
+    sm = StrictStructureMorphism(predicate_map, key_map, sm.schema_bridge, sm.td_morphism)
+    return sm, StrictStructure(m2.schema, m2.type_domain, m2.keys,
+                               frozenset(classifies), m2.tuple_of_key)
 
 
 def rand_logic_morphism_setup(rng: random.Random):

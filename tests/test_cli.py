@@ -280,6 +280,28 @@ class TestStrictItems:
         assert run(["check", "-w", str(path), "morphism", "mX"]) == \
             (1, f"ITEM mX: FAIL UnresolvedReference unresolved key reference {fault!r}\n")
 
+    def test_key_map_total_over_a_schema_with_no_predicates(self, tmp_path):
+        """A strict key map is total on the target's key set whatever the
+        schema: over one with no predicates, a key it misses fails the
+        morphism as it does over any other."""
+        raw = json.load(open(FIXTURE))
+        raw["schemas"]["Empty"] = {"sorts": ["S", "D"], "predicates": {}}
+        for name, keys in (("Z1", ["k1", "k2"]), ("Z2", ["u"])):
+            raw["structures"][name] = {"schema": "Empty", "typeDomain": "A",
+                                       "kind": "strict", "keys": keys,
+                                       "classifies": [], "tuples": {}}
+        raw["structureMorphisms"]["mZ"] = {
+            "source": "Z2", "target": "Z1", "kind": "strict", "typeDomainMorphism": "idA",
+            "predicateMap": {}, "bridges": {}, "keyMap": {"k1": "u"}}
+        error = "UnresolvedReference: unresolved key map reference 'k2'"
+        assert [(d.section, d.name, d.error)
+                for d in load_workspace_data(raw).diagnostics] == [
+            ("structureMorphisms", "mZ", error)]
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(raw))
+        assert run(["check", "-w", str(path), "morphism", "mZ"]) == \
+            (1, "ITEM mZ: FAIL UnresolvedReference unresolved key map reference 'k2'\n")
+
     def test_eval_reads_only_the_tables_it_names(self, tmp_path):
         """As for a lax structure, a bad row fails an eval that reads its
         table and the full check, not an eval that reads other tables."""
@@ -1139,6 +1161,26 @@ class TestConvert:
         validate_database(db)
         assert set(db.table_of["Emp"].rows.values()) == \
             {("ann", "hr"), ("bob", "hr")}
+
+    @pytest.mark.parametrize("path, error", [
+        ([], "a composite's path is empty"),
+        (["empDept", "c2"],
+         "path ('empDept', 'c2') breaks at 'c2': expected source 'Emp', found 'Dept'")])
+    def test_snd_to_db_of_a_spec_whose_composite_does_not_compose(
+            self, tmp_path, path, error):
+        """A spec whose declared composite has an empty or broken path fails
+        to load, so ``snd-to-db`` names it first and exits 2."""
+        raw = json.load(open(FIXTURE))
+        raw["specs"]["FK"]["constraints"]["c2"] = {
+            "sourcePredicate": "Dept", "targetPredicate": "Emp", "h": {"dept": "dept"}}
+        raw["specs"]["FK"]["composites"] = [{"path": path, "equals": "empDept"}]
+        ws = tmp_path / "ws.json"
+        ws.write_text(json.dumps(raw))
+        code, text = run(["convert", "-w", str(ws), "snd-to-db", "M:FK",
+                          "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert text.splitlines()[0] == f"ITEM specs/FK: FAIL SignatureMismatch: {error}"
+        assert not (tmp_path / "o.json").exists()
 
     def test_snd_to_db_over_another_schema_is_an_error(self, tmp_path):
         """A sound logic is a structure and a spec over one schema: a spec

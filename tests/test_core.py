@@ -28,11 +28,12 @@ from fole import (
     tuple_along,
 )
 from fole.core import Record
-from fole.errors import (InfomorphismViolation, SignatureMismatch, SortMismatch,
-                         UnknownSort)
+from fole.errors import (FoleError, InfomorphismViolation, SignatureMismatch,
+                         SortMismatch, UnknownSort)
 
-from generators import classify_pairwise, rand_infomorphism, rand_shared_type_domain, \
-    rand_sig_morphism, rand_signature, rand_type_domain
+from generators import INFOMORPHISM_FAULTS, break_infomorphism, classify_pairwise, \
+    rand_infomorphism, rand_shared_type_domain, rand_sig_morphism, rand_signature, \
+    rand_type_domain, type_domain_condition_by_pairs
 
 
 S2 = Signature.of([("0", "S"), ("1", "S")])
@@ -322,3 +323,51 @@ class TestTypeDomainMorphism:
                 t2 = m.map_row(t1)
                 assert all(v in a2.extent(s)
                            for v, s in zip(t2, sig2.sorts))
+
+
+def outcome(check, *args):
+    """``(error class, message)`` of ``check(*args)``, or ``None`` if it passes."""
+    try:
+        check(*args)
+    except FoleError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestInfomorphismAgainstPairLoop:
+    """The type-domain infomorphism condition decided over extent sets, the
+    values of ``a1`` listed once, against the pair loop it replaced
+    (``type_domain_condition_by_pairs``)."""
+
+    def test_same_verdict_as_the_pair_loop(self):
+        """100 cases of each kind, 500 in all: unchanged, or with one fault,
+        each gets the pair loop's outcome, error class and message."""
+        rng = random.Random(139)
+        for kind in (None,) + INFOMORPHISM_FAULTS:
+            done = 0
+            while done < 100:
+                m, a2, a1 = rand_infomorphism(rng)
+                if kind:
+                    m = break_infomorphism(rng, m, a2, a1, [kind])
+                    if m is None:
+                        continue
+                expected = outcome(type_domain_condition_by_pairs, m, a2, a1)
+                assert (expected is None) == (kind is None), (kind, done)
+                assert outcome(check_type_domain_morphism, m, a2, a1) == expected, (kind, done)
+                done += 1
+
+    def test_several_faults_are_named_as_the_pair_loop_names_them(self):
+        """200 cases with two or three faults: both reject each, naming the
+        same fault (totality by sort then value, then the first pair by sort
+        then value)."""
+        rng, done = random.Random(149), 0
+        while done < 200:
+            m, a2, a1 = rand_infomorphism(rng)
+            kinds = rng.choices(INFOMORPHISM_FAULTS, k=rng.randint(2, 3))
+            broken = break_infomorphism(rng, m, a2, a1, kinds)
+            if broken is None:
+                continue
+            expected = outcome(type_domain_condition_by_pairs, broken, a2, a1)
+            assert expected is not None, kinds
+            assert outcome(check_type_domain_morphism, broken, a2, a1) == expected, kinds
+            done += 1

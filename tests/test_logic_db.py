@@ -118,6 +118,27 @@ class TestSoundLogic:
         assert str(exc.value) == "structure and spec are over different schemas"
 
 
+class TestSoundLogicMorphism:
+    @pytest.mark.parametrize("part, error", [
+        ("predicate map", "predicate maps of the two parts disagree"),
+        ("bridges", "signature bridges of the two parts disagree")])
+    def test_the_two_parts_must_agree(self, part, error):
+        """A logic morphism's spec morphism and structure morphism run along
+        one predicate map and one family of signature bridges."""
+        logic = fixture_logic()
+        sm = SpecMorphism.identity(logic.spec, TD.sorts)
+        strm = LaxStructureMorphism.identity(logic.structure)
+        if part == "predicate map":
+            sm = SpecMorphism({**sm.predicate_map, "Emp": "Dept"}, sm.constraint_map,
+                              sm.sort_map, sm.bridge)
+        else:
+            strm = LaxStructureMorphism(strm.predicate_map, {}, strm.td_morphism,
+                                        strm.key_bridge)
+        with pytest.raises(SignatureMismatch) as exc:
+            SoundLogicMorphism(sm, strm)
+        assert str(exc.value) == error
+
+
 class TestValidateDatabase:
     def test_fixture_accepts(self):
         validate_database(fixture_database())

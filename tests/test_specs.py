@@ -247,6 +247,21 @@ class TestTablePassage:
         with pytest.raises(SignatureMismatch):
             spec.validate()
 
+    @pytest.mark.parametrize("path, error", [
+        ((), "a composite's path is empty"),
+        (("empDept", "c2"),
+         "path ('empDept', 'c2') breaks at 'c2': expected source 'Emp', found 'Dept'")])
+    def test_composite_path_must_compose(self, path, error):
+        """A declared composite's path is nonempty, and each arrow on it
+        starts where the one before it ends."""
+        spec = AbstractSpec(SCHEMA, {
+            "empDept": GeneratingConstraint("empDept", "Dept", "Emp", H),
+            "c2": GeneratingConstraint("c2", "Dept", "Emp", H),
+        }, composites=(CompositeDeclaration(path, "empDept"),))
+        with pytest.raises(SignatureMismatch) as exc:
+            spec.validate()
+        assert str(exc.value) == error
+
 
 class TestFormalSpec:
     def test_well_typed_constraints_pass(self):
