@@ -100,4 +100,4 @@ from .tables import (
 )
 from .workspace import Workspace, load_workspace
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and type(v) is not type(core))

@@ -23,10 +23,6 @@ from .tables import table_flow_type_domain, table_image
 from .workspace import SECTIONS, Workspace, dump_json, fragment, key_names, load_workspace
 
 
-def _emit(out, text: str):
-    out.write(text + "\n")
-
-
 def _ordered_tuples(rel, td):
     """``rel``'s tuples in fiber order.  Where they fill an eighth of the
     fiber or more, a walk over the fiber keeps them; else they are sorted by
@@ -55,7 +51,7 @@ def cmd_eval(ws: Workspace, structure: str, formula_text: str,
         payload = {"signature": rel.signature, "tuples": tuples}
         if as_table:
             payload["table"] = table
-        _emit(out, dump_json(payload))
+        print(dump_json(payload), file=out)
         return 0
     lines = ["\t".join(f"{a}:{s}" for a, s in rel.signature.pairs()),
              *map("\t".join, tuples)]
@@ -63,19 +59,19 @@ def cmd_eval(ws: Workspace, structure: str, formula_text: str,
         rows = table.rows
         lines += ["-- table keys --", *map("\t".join, zip(
             key_names(list(rows)), map("\t".join, rows.values())))]
-    _emit(out, "\n".join(lines))
+    print("\n".join(lines), file=out)
     return 0
 
 
 def _report(out, as_json: bool, lines: list[dict]) -> int:
     ok = all(line["ok"] for line in lines)
     if as_json:
-        _emit(out, dump_json({"ok": ok, "items": lines}))
+        print(dump_json({"ok": ok, "items": lines}), file=out)
     else:
         for line in lines:
             status = "OK" if line["ok"] else f"FAIL {line.get('code', 'ERROR')}"
             detail = line.get("detail", "")
-            _emit(out, f"ITEM {line['name']}: {status}" + (f" {detail}" if detail else ""))
+            print(f"ITEM {line['name']}: {status}" + (f" {detail}" if detail else ""), file=out)
     return 0 if ok else 1
 
 
@@ -128,7 +124,7 @@ def _write(out_path: str, frag: dict, out) -> int:
     text = dump_json(frag) + "\n"
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    _emit(out, f"WROTE {out_path}")
+    print(f"WROTE {out_path}", file=out)
     return 0
 
 
@@ -232,10 +228,10 @@ def main(argv=None, out=sys.stdout) -> int:
     except (FoleError, OSError, json.JSONDecodeError) as exc:
         # a failed item may be the cause: then every diagnostic, below
         if ws is None or args.command == "check" or not ws.diagnostics:
-            _emit(out, f"ERROR {type(exc).__name__}: {exc}")
+            print(f"ERROR {type(exc).__name__}: {exc}", file=out)
             return 2
     for diag in ws.diagnostics:
-        _emit(out, f"ITEM {diag.section}/{diag.name}: FAIL {diag.error}")
+        print(f"ITEM {diag.section}/{diag.name}: FAIL {diag.error}", file=out)
     return 2
 
 

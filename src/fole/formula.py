@@ -41,10 +41,11 @@ class Schema(Record):
     def __post_init__(self):
         if self.signatures is None:
             self.signatures = {}
-        for r, sig in self.predicates.items():
-            for s in sig.sorts:
-                if s not in self.sorts:
-                    raise SignatureMismatch(f"predicate {r!r} mentions unknown sort {s!r}")
+        for kind, named in (("predicate", self.predicates), ("signature", self.signatures)):
+            for r, sig in named.items():
+                for s in sig.sorts:
+                    if s not in self.sorts:
+                        raise SignatureMismatch(f"{kind} {r!r} mentions unknown sort {s!r}")
 
     def signature_of(self, predicate: str) -> Signature:
         if predicate not in self.predicates:

@@ -65,10 +65,6 @@ class SoundLogic(Record):
         """Satisfaction, decided once; its witnesses are the canonical key maps."""
         return satisfies_spec(self.structure, self.spec)
 
-    @property
-    def schema(self):
-        return self.structure.schema
-
 
 def _assembled(cls, *fields):
     """``cls(*fields)`` without ``__post_init__``: for a passage's result only."""

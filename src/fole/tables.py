@@ -75,9 +75,6 @@ class Relation(Record, frozen=True):
     def sorted_tuples(self) -> list[Row]:
         return sorted(self.tuples)
 
-    def __contains__(self, t: Row) -> bool:
-        return tuple(t) in self.tuples
-
     def __len__(self) -> int:
         return len(self.tuples)
 

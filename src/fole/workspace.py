@@ -99,8 +99,6 @@ def _named(keys) -> tuple:
 
 
 _ENC = json.encoder.encode_basestring_ascii
-# a string or an empty container as json.dumps writes it; other leaves by json.dumps
-_LEAF = {str: _ENC, dict: lambda _: "{}", list: lambda _: "[]", tuple: lambda _: "[]"}
 
 
 def _object(mapping: dict, texts, pad: str, seen) -> str:
@@ -171,7 +169,7 @@ def _render(obj, pad: str, out: list, seen) -> None:
     if isinstance(obj, Signature):
         obj = obj.pairs()
     if not obj or not isinstance(obj, (dict, list, tuple)):  # a scalar, {} or []
-        return out.append(_LEAF.get(obj.__class__, json.dumps)(obj))
+        return out.append(_ENC(obj) if obj.__class__ is str else json.dumps(obj))
     keyed, inner = isinstance(obj, dict), pad + "  "
     if not keyed and all(map(isinstance, obj, repeat(str))):  # one piece, not one per value
         return out.append(f"[{inner}{(',' + inner).join(map(_ENC, obj))}{pad}]")

@@ -376,6 +376,7 @@ class TestEval:
     @pytest.mark.parametrize("formula, error", [
         ("(Emp", "expected ')', found end of input (at offset 4)"),
         ("Emp   ) ", "trailing input ')' (at offset 6)"),
+        (")", "unexpected token ')' (at offset 0)"),
     ])
     def test_parse_error_offset_is_the_tokens(self, formula, error):
         code, text = run(["eval", "-w", FIXTURE, "-s", "M", formula])
@@ -1584,3 +1585,23 @@ class TestDeterminism:
         run(["migrate", "-w", FIXTURE, "N.PairC", "collapse", "dextro",
              "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_named_signature_over_an_unknown_sort(tmp_path):
+    """A schema's named signature over a sort it lacks fails the schema, and
+    with it every item over that schema: eval reports the schema's fault,
+    and convert does not write the schema back out."""
+    raw = json.load(open(FIXTURE))
+    raw["schemas"]["Company"]["signatures"]["Ghost"] = [["g", "Z"]]
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(raw))
+    fault = "SignatureMismatch: signature 'Ghost' mentions unknown sort 'Z'"
+    assert ("schemas", "Company", fault) in [
+        (d.section, d.name, d.error) for d in load_workspace_data(raw).diagnostics]
+    assert run(["check", "-w", str(path), "structure", "M"]) == \
+        (1, "ITEM M: FAIL UnresolvedReference unresolved schema reference 'Company'\n")
+    for argv in (["eval", "-s", "M", "Emp"], ["eval", "-s", "M", "top@Ghost"],
+                 ["convert", "snd-to-db", "M:FK", "--out", str(tmp_path / "out.json")]):
+        code, text = run(argv[:1] + ["-w", str(path)] + argv[1:])
+        assert (code, text.splitlines()[0]) == (2, f"ITEM schemas/Company: FAIL {fault}")
+    assert not (tmp_path / "out.json").exists()

@@ -371,3 +371,37 @@ class TestInfomorphismAgainstPairLoop:
             assert expected is not None, kinds
             assert outcome(check_type_domain_morphism, broken, a2, a1) == expected, kinds
             done += 1
+
+
+# (call, error class, message): each guard rejects a misuse with its own error
+GUARDS = [
+    (lambda: Signature(("0", "1"), ("S",)), ValueError,
+     "attrs and sorts must have equal length"),
+    (lambda: TypeDomain(("S",), {"S": ("a",), "T": ("b",)}), UnknownSort,
+     "unknown sort 'T'"),
+    (lambda: SignatureMorphism.of(S1, S2, {"0": "0"}).then(
+        SignatureMorphism.of(S1, S2, {"0": "1"})), ValueError,
+     "morphisms are not composable"),
+    (lambda: check_signature_morphism(SignatureMorphism(S2, S2, (("0", "0"),))),
+     SortMismatch, "sort mismatch at index '1': expected '<mapped>', found '<missing>'"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS,
+                         ids=["signature-lengths", "extent-sort", "then", "unmapped-attr"])
+def test_guards_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_all_names_no_module():
+    """``from fole import *`` binds the public classes and functions, not the
+    submodules they come from."""
+    names = set(fole.__all__)
+    assert len(names) == len(fole.__all__) == 83
+    assert names == {n for n in dir(fole) if not n.startswith("_")
+                     and not isinstance(getattr(fole, n), type(fole))}
+    scope = {}
+    exec("from fole import *", scope)
+    assert not [n for n, v in scope.items() if isinstance(v, type(fole))]

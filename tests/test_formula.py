@@ -33,6 +33,7 @@ from fole.errors import (
     FiberMismatch,
     FlowMismatch,
     ParseError,
+    SignatureMismatch,
     UnknownMorphism,
     UnknownPredicate,
     UnknownSignature,
@@ -112,6 +113,7 @@ class TestParser:
         ("  ", "unexpected end of input", 2),
         ("Salaried   ) ", "trailing input ')'", 11),
         ("Salaried  $", "unexpected character '$'", 10),
+        ("  )", "unexpected token ')'", 2),
     ])
     def test_error_offset_is_the_tokens(self, text, message, offset):
         """A parse error points at its token's first character, or at the
@@ -259,3 +261,31 @@ class TestSequentsConstraints:
         # target side: Impl(target, Subst(id, source)) has the sequent fiber
         phi = enfold_constraint(c, "target")
         assert infer_signature(phi, SCHEMA) == SIG1
+
+
+# (call, error class, message): each guard rejects a misuse with its own error
+GUARDS = [
+    (lambda: infer_signature("Emp", SCHEMA), TypeError, "not a formula node: 'Emp'"),
+    (lambda: print_formula(("Emp",)), TypeError, "not a formula node: ('Emp',)"),
+    (lambda: enfold_constraint(Constraint("p", Top(H.source), Atom("Emp"), H), "middle"),
+     ValueError, "unknown side 'middle'"),
+    (lambda: Schema(("S",), {}, {"Ghost": Signature.of([("g", "Z")])}),
+     SignatureMismatch, "signature 'Ghost' mentions unknown sort 'Z'"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS,
+                         ids=["infer", "print", "side", "named-signature"])
+def test_guards_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_named_signature_checked_after_predicates():
+    """A schema checks its named signatures by the predicates' rule, after
+    the predicates."""
+    Z = Signature.of([("z", "Z")])
+    with pytest.raises(SignatureMismatch, match="predicate 'P' mentions unknown sort 'Z'"):
+        Schema(("S",), {"P": Z}, {"Ghost": Z})
+    assert Schema(("S", "Z"), {"P": Z}, {"Ghost": Z}).signatures == {"Ghost": Z}

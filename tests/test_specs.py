@@ -319,3 +319,11 @@ class TestSpecMorphism:
         sm2 = SpecMorphism.identity(t_a, ("D",))
         with pytest.raises(NaturalityViolation):
             validate_spec_morphism(sm2, t_a, t_b)
+
+
+def test_constraint_morphism_must_connect_its_predicates():
+    spec = AbstractSpec(SCHEMA, {"c": GeneratingConstraint("c", "Emp", "Dept", H)})
+    with pytest.raises(SignatureMismatch) as info:
+        spec.validate()
+    assert str(info.value) == \
+        "constraint 'c' morphism does not connect (name:S,dept:D) to (dept:D)"

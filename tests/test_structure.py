@@ -728,3 +728,20 @@ class TestStrictAgainstRowOracle:
             assert list(lm.key_bridge) == list(scanned)
             for r2, bridge in scanned.items():
                 assert list(lm.key_bridge[r2].items()) == list(bridge.items())
+
+
+# (call, error class, message): each guard rejects a misuse with its own error
+GUARDS = [
+    (lambda: structure_module.tuple_satisfies(fixture_structure(), ("hr",), "Dept"),
+     TypeError, "not a formula node: 'Dept'"),
+    (lambda: structure_module.check_bridge("Dept", SIG1, {"S": "S", "D": "D"}, H,
+                                           SCHEMA, "Dept"),
+     SignatureMismatch, "bridge at 'Dept' has target (name:S,dept:D), expected (dept:D)"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS, ids=["tuple", "bridge-target"])
+def test_guards_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -896,3 +896,37 @@ class TestWideDextro:
         t = Table(sig2, {"good": (block, block)})
         out = table_flow_type_domain("dextro", m, t, a2, a1)
         assert list(out.rows) == [("good", (y, z)) for y in pre for z in pre]
+
+
+ON_S1, ON_S2 = Relation(S1, frozenset()), Relation(S2, frozenset())
+ID_AB = TypeDomainMorphism.of({"S": "S"}, {"a": "a", "b": "b"})
+# (call, error class, message): each guard rejects a misuse with its own error
+GUARDS = [
+    (lambda: fiber_flow("exists", H, ON_S1, AB), SignatureMismatch,
+     "exists expects a relation over h.target"),
+    (lambda: fiber_flow("preimage", H, ON_S2, AB), SignatureMismatch,
+     "preimage expects a relation over h.source"),
+    (lambda: fiber_flow("forall", H, ON_S1, AB), SignatureMismatch,
+     "forall expects a relation over h.target"),
+    (lambda: fiber_flow("sideways", H, ON_S2, AB), ValueError,
+     "unknown flow mode 'sideways'"),
+    (lambda: table_sigma(H, Table(S1, {})), SignatureMismatch,
+     "table_sigma expects a table over h.target"),
+    (lambda: table_substitution(H, Table(S2, {}), AB), SignatureMismatch,
+     "table_substitution expects a table over h.source"),
+    (lambda: check_table_morphism(TableMorphism(H, {}), Table(S2, {}), Table(S2, {})),
+     SignatureMismatch, "table morphism signatures do not line up"),
+    (lambda: key_equivalent(Table(S1, {}), Table(S2, {})), SignatureMismatch,
+     "key equivalence needs equal signatures"),
+    (lambda: table_flow_type_domain("sideways", ID_AB, Table(S1, {}), AB, AB),
+     ValueError, "unknown direction 'sideways'"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS, ids=[
+    "exists", "preimage", "forall", "flow-mode", "sigma", "substitution",
+    "table-morphism", "key-equivalent", "direction"])
+def test_guards_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
